@@ -7,8 +7,9 @@ subset of profiles/sizes) and shared.  Each individual benchmark still times a
 representative simulation run so `pytest benchmarks/ --benchmark-only`
 produces meaningful per-experiment timings.
 
-Full-scale numbers (thin=1, all 11 profiles, sizes up to 50) are recorded in
-EXPERIMENTS.md and can be regenerated with the `gridfed` CLI.
+Full-scale numbers (thin=1, all 11 profiles, sizes up to 50) are written by
+`scripts/generate_experiments_md.py` and can be reproduced with the `gridfed`
+CLI.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def test_bench_fig7_user_qos_excluding_rejected(benchmark, bench_sweep):
     # Shape: users of the fast resources obtain response times at least as good
     # under OFT as under OFC (the paper's Fig. 7 improvement; with the
     # calibrated synthetic traces the federation-wide average is dominated by
-    # queueing on the small fast machines, see EXPERIMENTS.md), and OFT users
+    # queueing on the small fast machines), and OFT users
     # spend at least as much budget as OFC users.
     ofc_by_name = {s.name: s for s in user_qos_summary(bench_sweep[0], include_rejected=False)}
     oft_by_name = {s.name: s for s in user_qos_summary(bench_sweep[100], include_rejected=False)}

@@ -63,8 +63,9 @@ def main() -> None:
 
     w("# EXPERIMENTS — paper vs. measured\n\n")
     w("Generated by `scripts/generate_experiments_md.py`.  All runs use seed 42, the\n")
-    w("calibrated synthetic two-day workload of `repro.workload.archive` (see DESIGN.md\n")
-    w("for the substitution of the original Parallel Workloads Archive traces) and the\n")
+    w("calibrated synthetic two-day workload of `repro.workload.archive` (see\n")
+    w("`repro.workload.generator` for the substitution of the original Parallel\n")
+    w("Workloads Archive traces) and the\n")
     w("paper's parameters: budgets and deadlines twice the unloaded origin values, 10 %\n")
     w("communication overhead, FCFS LRMSes, static Eq. 5-6 quotes.\n\n")
     w("Absolute numbers are not expected to match a 2005 Java/GridSim study replaying\n")

@@ -49,8 +49,9 @@ sharded directory are scenario data too — see ``docs/ARCHITECTURE.md``::
     result = run_scenario(Scenario(transport="two-tier-wan", directory_shards=4))
     print(result.network.messages, result.network.latency_s)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every table and figure.
+See ``docs/ARCHITECTURE.md`` for the layer map; ``python
+scripts/generate_experiments_md.py`` regenerates the paper-versus-measured
+record of every table and figure (``EXPERIMENTS.md``).
 """
 
 from repro.core import (

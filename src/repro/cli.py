@@ -47,8 +47,9 @@ scenarios from the shell::
     gridfed sweep --profiles 0 50 100 --cache-dir state/cache
     gridfed daemon --state state/daemon --port 8414
 
-``--thin N`` keeps every N-th job and makes exploratory runs fast; the
-EXPERIMENTS.md record was produced with ``--thin 1`` (the default).
+``--thin N`` keeps every N-th job and makes exploratory runs fast;
+``scripts/generate_experiments_md.py`` records the paper-vs-measured tables
+with ``--thin 1`` (the default).
 ``--workers N`` runs sweep points across N processes — results are identical
 to the serial path (every point re-seeds from its own scenario).  On ``run``
 and ``profile`` it instead shards one federation across N worker processes

@@ -190,13 +190,9 @@ class SpaceSharedLRMS:
         the currently running jobs; the extra nodes are the processors that
         remain free at that instant after the head job has been placed.
         """
-        now = self.sim.now
-        profile = AvailabilityProfile(self.spec.num_processors, now)
-        for job, finish in self._running.values():
-            remaining = max(finish - now, 1e-9)
-            profile.reserve(now, remaining, job.num_processors)
+        profile = self._running_profile()
         runtime = self.runtime_of(head)
-        shadow = profile.earliest_start(head.num_processors, runtime, earliest=now)
+        shadow = profile.earliest_start(head.num_processors, runtime)
         free_at_shadow = profile.min_free(shadow, shadow + runtime)
         extra = max(free_at_shadow - head.num_processors, 0)
         return shadow, extra
@@ -291,23 +287,31 @@ class SpaceSharedLRMS:
         """
         if self._profile_cache is not None and self._profile_cache_version == self._state_version:
             return self._profile_cache
-        now = self.sim.now
-        profile = AvailabilityProfile(self.spec.num_processors, now)
-        for running_job, finish in self._running.values():
-            remaining = max(finish - now, 1e-9)
-            profile.reserve(now, remaining, running_job.num_processors)
-        queue_tail_start = now
-        for queued_job in self._queue:
-            runtime = self.runtime_of(queued_job)
-            # FCFS: each queued job starts no earlier than the one before it.
-            start = profile.earliest_start(
-                queued_job.num_processors, runtime, earliest=queue_tail_start
-            )
-            profile.reserve(start, runtime, queued_job.num_processors)
-            queue_tail_start = start
+        profile = self._running_profile()
+        # FCFS: each queued job starts no earlier than the one before it.
+        queue_tail_start = profile.place_fcfs(
+            (job.num_processors, self.runtime_of(job)) for job in self._queue
+        )
         self._profile_cache = (profile, queue_tail_start)
         self._profile_cache_version = self._state_version
         return self._profile_cache
+
+    def _running_profile(self) -> AvailabilityProfile:
+        """Availability profile from now on, of the running jobs only.
+
+        A job still registered as running at or past its finish time (its
+        finish event is due at this very instant) holds its processors for
+        1 ns, so the profile always frees them strictly after now.
+        """
+        now = self.sim.now
+        return AvailabilityProfile(
+            self.spec.num_processors,
+            now,
+            occupied=[
+                (max(finish - now, 1e-9), job.num_processors)
+                for job, finish in self._running.values()
+            ],
+        )
 
     def expected_wait(self) -> float:
         """Predicted queueing delay currently faced by a new arrival.

@@ -10,7 +10,8 @@ One module per experiment:
 
 Every driver accepts a ``thin`` parameter (keep every ``thin``-th job) so that
 benchmarks and examples can run reduced-scale versions of the same code path;
-``thin=1`` reproduces the full two-day workload used in EXPERIMENTS.md.
+``thin=1`` reproduces the full two-day workload that
+``scripts/generate_experiments_md.py`` records.
 """
 
 from repro.experiments.common import (

@@ -1,7 +1,7 @@
 """Hot-path performance benchmark suite (``gridfed bench`` / ``gridfed profile``).
 
 The paper *assumes* an ``O(log n)``-cost directory and never measures it; this
-module is the repository's measured performance trajectory.  Five layers of
+module is the repository's measured performance trajectory.  These layers of
 the scheduling hot path are timed:
 
 * **Directory rank queries** — a simulated DBC negotiation probe schedule is
@@ -21,6 +21,10 @@ the scheduling hot path are timed:
 * **Engine kernel** — schedule/cancel/fire throughput through the full
   :class:`~repro.sim.engine.Simulator`, per backend, so the queue-level win
   can be read against the engine's fixed per-event overhead.
+* **LRMS availability profile** — from-scratch rebuilds of one FCFS
+  cluster's admission-estimate profile (64 running jobs, queues of 8/32/128),
+  reported as rebuilds/s: the layer that dominated serial runs before its
+  one-pass builders.
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   executed once per directory query mode.  The two runs must produce equal
   :func:`~repro.scenario.runner.result_fingerprint` digests (the fast path may
@@ -60,6 +64,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cluster.lrms import SpaceSharedLRMS
+from repro.cluster.specs import ResourceSpec
 from repro.core.policies import SharingMode
 from repro.net.transport import Transport
 from repro.p2p.directory import FederationDirectory, RankCriterion
@@ -67,6 +73,7 @@ from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.sim.engine import ScheduledEvent, Simulator
 from repro.sim.queues import create_queue
 from repro.workload.archive import build_federation_specs, replicate_resources
+from repro.workload.job import Job
 
 __all__ = [
     "BENCH_SCALES",
@@ -75,6 +82,7 @@ __all__ = [
     "bench_directory_queries",
     "bench_queue_kernel",
     "bench_event_kernel",
+    "bench_lrms_profile",
     "bench_table3",
     "bench_transport_fastpath",
     "bench_resilience_overhead",
@@ -457,6 +465,78 @@ def bench_event_kernel(
         "seconds": seconds,
         "events_per_s": fired / max(seconds, 1e-12),
     }
+
+
+# --------------------------------------------------------------------------- #
+# LRMS availability-profile rebuild micro-benchmark
+# --------------------------------------------------------------------------- #
+def _loaded_lrms(running: int, queued: int, seed: int) -> SpaceSharedLRMS:
+    """An FCFS cluster with ``running`` 2-CPU jobs busy and ``queued`` waiting.
+
+    Every processor is taken, so each later submission queues.  Runtimes are
+    lognormal (median ~18 minutes) and queued widths uniform up to the whole
+    cluster.
+    """
+    rng = np.random.default_rng(seed)
+    spec = ResourceSpec(
+        name="bench", num_processors=2 * running, mips=1000.0, bandwidth_gbps=1.0, price=1.0
+    )
+    lrms = SpaceSharedLRMS(Simulator(), spec)
+    widths = [2] * running + [int(w) for w in rng.integers(1, spec.num_processors + 1, queued)]
+    for procs in widths:
+        runtime = float(rng.lognormal(mean=7.0, sigma=1.0))
+        lrms.submit(
+            Job(
+                origin=spec.name,
+                user_id=0,
+                submit_time=0.0,
+                num_processors=procs,
+                length_mi=runtime * spec.mips * procs,
+            )
+        )
+    assert lrms.running_count == running and lrms.queue_length == queued
+    return lrms
+
+
+def bench_lrms_profile(
+    running: int = 64,
+    queue_depths: Sequence[int] = (8, 32, 128),
+    rebuilds: int = 500,
+    repeats: int = 1,
+    seed: int = 42,
+) -> List[Dict[str, object]]:
+    """Rebuild one LRMS's estimation profile ``rebuilds`` times per queue depth.
+
+    This is the admission estimate every DBC negotiation round asks for, and
+    the profile is rebuilt after every queue or running-set change.  Each
+    rebuild lays the running jobs' staircase and places the whole queue; the
+    state is bumped between rebuilds so none is served from the cache.
+    """
+    rows: List[Dict[str, object]] = []
+    for queued in queue_depths:
+        lrms = _loaded_lrms(running, queued, seed)
+
+        def once() -> float:
+            start = time.perf_counter()
+            for _ in range(rebuilds):
+                lrms._touch()
+                lrms.expected_wait()
+            return time.perf_counter() - start
+
+        seconds = _best_of(repeats, once)
+        profile, tail_start = lrms._estimation_profile()
+        rows.append(
+            {
+                "running": int(running),
+                "queued": int(queued),
+                "rebuilds": int(rebuilds),
+                "breakpoints": len(profile.segments()),
+                "tail_start": tail_start,
+                "seconds": seconds,
+                "rebuilds_per_s": rebuilds / max(seconds, 1e-12),
+            }
+        )
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -878,6 +958,7 @@ def run_benchmarks(
             bench_event_kernel(scale.events, repeats=scale.repeats, backend=backend)
             for backend in QUEUE_BACKENDS
         ],
+        "lrms_profile": bench_lrms_profile(repeats=scale.repeats, seed=seed),
         "table3": bench_table3(
             scale.table3_thin,
             repeats=scale.repeats,
@@ -958,6 +1039,9 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
             f"@guards{row['guards']}/hold_s"
         )
         tracked[key] = float(row["hold_s"])
+    for row in report.get("lrms_profile", []):
+        key = f"lrms_profile/{row['running']}x{row['queued']}/{row['rebuilds']}/seconds"
+        tracked[key] = float(row["seconds"])
     for row in report.get("table3", []):
         key = f"table3/{row['clusters']}@thin{row['thin']}/session_s"
         tracked[key] = float(row["session_s"])
@@ -1221,6 +1305,25 @@ def render_report(report: Dict[str, object]) -> str:
             title="Engine kernel throughput (full Simulator)",
         )
     )
+    rows = [
+        [
+            row["running"],
+            row["queued"],
+            row["breakpoints"],
+            row["rebuilds"],
+            row["seconds"],
+            row["rebuilds_per_s"],
+        ]
+        for row in report.get("lrms_profile", [])
+    ]
+    if rows:
+        out.append(
+            render_table(
+                ["Running", "Queued", "Breakpoints", "Rebuilds", "Seconds", "Rebuilds/s"],
+                rows,
+                title="LRMS availability profile — from-scratch rebuilds",
+            )
+        )
     rows = [
         [
             row["clusters"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
+from repro.cluster import AvailabilityProfile, ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
 from repro.cluster.specs import execution_time
 from repro.sim import Simulator
 from repro.workload.job import Job, JobStatus
@@ -314,3 +314,114 @@ class TestProperties:
         sim.run()
         expected = sum(j.num_processors * (j.finish_time - j.start_time) for j in job_objs)
         assert lrms.busy_node_seconds == pytest.approx(expected)
+
+
+# --------------------------------------------------------------------------- #
+# The profile builders against a per-job reservation oracle
+# --------------------------------------------------------------------------- #
+def _oracle_profile(lrms):
+    """The estimation profile built one checked reservation at a time.
+
+    Uses only the public ``reserve``/``earliest_start``: one reservation per
+    running job, then earliest start plus reservation per queued job.
+    """
+    now = lrms.sim.now
+    profile = AvailabilityProfile(lrms.spec.num_processors, now)
+    for running_job, finish in lrms._running.values():
+        remaining = max(finish - now, 1e-9)
+        profile.reserve(now, remaining, running_job.num_processors)
+    queue_tail_start = now
+    for queued_job in lrms._queue:
+        runtime = lrms.runtime_of(queued_job)
+        # FCFS: each queued job starts no earlier than the one before it.
+        start = profile.earliest_start(
+            queued_job.num_processors, runtime, earliest=queue_tail_start
+        )
+        profile.reserve(start, runtime, queued_job.num_processors)
+        queue_tail_start = start
+    return profile, queue_tail_start
+
+
+def _oracle_estimate(lrms, job):
+    profile, queue_tail_start = _oracle_profile(lrms)
+    runtime = lrms.runtime_of(job)
+    earliest = max(lrms.sim.now, queue_tail_start)
+    start = profile.earliest_start(job.num_processors, runtime, earliest=earliest)
+    return start + runtime
+
+
+def _oracle_shadow(lrms, head):
+    now = lrms.sim.now
+    profile = AvailabilityProfile(lrms.spec.num_processors, now)
+    for job, finish in lrms._running.values():
+        remaining = max(finish - now, 1e-9)
+        profile.reserve(now, remaining, job.num_processors)
+    runtime = lrms.runtime_of(head)
+    shadow = profile.earliest_start(head.num_processors, runtime, earliest=now)
+    free_at_shadow = profile.min_free(shadow, shadow + runtime)
+    extra = max(free_at_shadow - head.num_processors, 0)
+    return shadow, extra
+
+
+def _assert_matches_oracle(lrms, probes):
+    # The LRMS caches its profile per state version, not per instant; drop
+    # the cache so both sides build at the current time.
+    lrms._profile_cache = None
+    profile, queue_tail_start = lrms._estimation_profile()
+    expected, expected_tail = _oracle_profile(lrms)
+    assert profile.segments() == expected.segments()
+    assert queue_tail_start == expected_tail
+    for job in probes + lrms.queued_jobs()[:1]:
+        assert lrms.estimate_completion_time(job) == _oracle_estimate(lrms, job)
+        assert lrms._shadow(job) == _oracle_shadow(lrms, job)
+
+
+#: A few fixed runtimes so that jobs submitted together finish together.
+_RUNTIMES = st.one_of(
+    st.sampled_from([10.0, 25.0, 40.0]), st.floats(min_value=0.5, max_value=150.0)
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(min_value=1, max_value=16), _RUNTIMES),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=60.0)),
+        # Stop just before (or exactly at) the next finish, leaving running
+        # jobs with at most 1 ns to go.
+        st.tuples(st.just("to_finish"), st.sampled_from([0.0, 1e-10, 5e-10, 1e-9])),
+        st.tuples(st.just("fail_all")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestProfileMatchesOracle:
+    @given(
+        ops=_OPS,
+        policy=st.sampled_from(list(SchedulingPolicy)),
+        origin=st.sampled_from([0.0, 1e5, 1e6]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_builders_equal_per_job_reservations(self, ops, policy, origin):
+        sim = Simulator()
+        sim.run(until=origin)
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+        probes = [make_job(procs=p, runtime=30.0, spec=spec) for p in (1, 7, 16)]
+        # At a completion, jobs finishing at the same instant are still
+        # registered as running with nothing left to run.
+        lrms.on_job_complete = lambda _job: _assert_matches_oracle(lrms, probes)
+        _assert_matches_oracle(lrms, probes)
+        for op in ops:
+            if op[0] == "submit":
+                lrms.submit(make_job(procs=op[1], runtime=op[2], spec=spec))
+            elif op[0] == "advance":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "to_finish":
+                if lrms._running:
+                    next_finish = min(finish for _job, finish in lrms._running.values())
+                    sim.run(until=max(next_finish - op[1], sim.now))
+            else:
+                lrms.fail_all()
+            _assert_matches_oracle(lrms, probes)
+        sim.run()
+        _assert_matches_oracle(lrms, probes)

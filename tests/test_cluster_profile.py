@@ -115,6 +115,44 @@ class TestEarliestStart:
             profile.reserve(-1.0, 1.0, 1)
 
 
+class TestBuilders:
+    def test_occupied_work_lays_a_staircase(self):
+        profile = AvailabilityProfile(8, 10.0, occupied=[(5.0, 3), (2.0, 1), (5.0, 2)])
+        assert profile.segments() == [(10.0, 12.0, 2), (12.0, 15.0, 3), (15.0, math.inf, 8)]
+
+    def test_occupied_work_rejects_what_reserve_rejects(self):
+        with pytest.raises(ProfileError, match="insufficient capacity"):
+            AvailabilityProfile(4, 0.0, occupied=[(1.0, 3), (2.0, 2)])
+        with pytest.raises(ProfileError, match="positive"):
+            AvailabilityProfile(4, 0.0, occupied=[(0.0, 1)])
+        with pytest.raises(ProfileError, match="at least one"):
+            AvailabilityProfile(4, 0.0, occupied=[(1.0, 0)])
+        # 1 ns past 1e8 rounds back to 1e8: an empty interval.
+        with pytest.raises(ProfileError, match="positive length"):
+            AvailabilityProfile(4, 1e8, occupied=[(1e-9, 1)])
+
+    def test_place_fcfs_never_overtakes(self):
+        profile = AvailabilityProfile(8, 0.0, occupied=[(10.0, 6)])
+        # The 6-CPU job waits for t=10; the 2-CPU job behind it would fit at
+        # t=0 but may not start before the job ahead of it.
+        assert profile.place_fcfs([(6, 5.0), (2, 1.0)]) == 10.0
+        assert profile.segments() == [
+            (0.0, 10.0, 2), (10.0, 11.0, 0), (11.0, 15.0, 2), (15.0, math.inf, 8)
+        ]
+
+    def test_place_fcfs_of_nothing_returns_the_profile_start(self):
+        assert AvailabilityProfile(8, 3.0, occupied=[(1.0, 8)]).place_fcfs([]) == 3.0
+
+    def test_place_fcfs_rejects_bad_requests(self):
+        profile = AvailabilityProfile(4, 0.0)
+        with pytest.raises(ProfileError, match="exceeds capacity"):
+            profile.place_fcfs([(5, 1.0)])
+        with pytest.raises(ProfileError, match="positive"):
+            profile.place_fcfs([(1, 0.0)])
+        with pytest.raises(ProfileError, match="positive length"):
+            AvailabilityProfile(4, 1e8).place_fcfs([(1, 1e-9)])
+
+
 class TestProperties:
     @given(
         capacity=st.integers(min_value=1, max_value=128),
@@ -155,3 +193,31 @@ class TestProperties:
             earlier = [t for t, _, _ in profile.segments() if t < start]
             for t in earlier:
                 assert profile.min_free(t, t + duration) < procs
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=16),
+        reservations=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5, 10.0]) | st.floats(min_value=0.0, max_value=50.0),
+                st.sampled_from([1.0, 1.5, 7.5]) | st.floats(min_value=1e-3, max_value=50.0),
+                st.integers(min_value=1, max_value=16),
+            ),
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reservations_match_a_brute_force_step_function(self, capacity, reservations):
+        profile = AvailabilityProfile(capacity, 0.0)
+        accepted = []
+        for start, duration, procs in reservations:
+            try:
+                profile.reserve(start, duration, procs)
+            except ProfileError:
+                continue
+            accepted.append((start, start + duration, procs))
+        instants = {0.0}
+        for start, end, _procs in accepted:
+            instants.update((start, end, (start + end) / 2))
+        for t in instants:
+            used = sum(procs for start, end, procs in accepted if start <= t < end)
+            assert profile.free_at(t) == capacity - used

@@ -2,7 +2,7 @@
 
 The drivers are exercised with a thinned workload and a resource subset so the
 suite stays fast; the full-scale reproduction lives in benchmarks/ and
-EXPERIMENTS.md.
+scripts/generate_experiments_md.py.
 """
 
 from __future__ import annotations
