@@ -27,8 +27,16 @@ class UserPopulation(Entity):
     gfa_name:
         Name of the GFA that receives this population's jobs.
     jobs:
-        The population's workload; submission events are scheduled at each
-        job's ``submit_time`` when :meth:`start` is called.
+        The population's workload; each job is submitted at its
+        ``submit_time`` once :meth:`start` has been called.
+
+    Only the next arrival is ever pending: :meth:`start` reserves one
+    sequence number per job and each submission schedules its successor
+    with that job's reserved number.  Every arrival therefore fires under
+    the ``(time, priority, seq)`` key it would have had if the whole
+    workload were scheduled at start, so the delivery order is unchanged,
+    while the simulator holds one arrival per population instead of one per
+    job.
     """
 
     def __init__(
@@ -43,6 +51,7 @@ class UserPopulation(Entity):
         self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         self.submitted = 0
         self._started = False
+        self._first_seq = 0
         for job in self._jobs:
             if job.origin != gfa_name:
                 raise ValueError(
@@ -54,23 +63,24 @@ class UserPopulation(Entity):
     # Behaviour
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Schedule the submission of every job at its submit time.
-
-        The whole workload goes in as one batch: sequence numbers are
-        assigned in job order (identical to the historical per-job loop, so
-        golden fingerprints are unchanged) while the queue backend pays a
-        single bulk insert for the start-up burst.
-        """
+        """Reserve the workload's sequence numbers and schedule the first job."""
         if self._started:
             raise RuntimeError(f"{self.name}: population already started")
         self._started = True
-        self.sim.schedule_at_many(
-            (job.submit_time, self._submit, (job,)) for job in self._jobs
-        )
+        self._first_seq = self.sim.reserve_seqs(len(self._jobs))
+        self._schedule(0)
 
-    def _submit(self, job: Job) -> None:
+    def _schedule(self, index: int) -> None:
+        if index < len(self._jobs):
+            job = self._jobs[index]
+            self.sim.schedule_at(
+                job.submit_time, self._submit, index, seq=self._first_seq + index
+            )
+
+    def _submit(self, index: int) -> None:
+        self._schedule(index + 1)
         self.submitted += 1
-        self.send(self.gfa_name, EventType.JOB_SUBMIT, payload=job)
+        self.send(self.gfa_name, EventType.JOB_SUBMIT, payload=self._jobs[index])
 
     def handle_event(self, event: Event) -> None:
         # User populations only emit events; nothing addresses them directly.

@@ -12,15 +12,14 @@ the scheduling hot path are timed:
   cache (``O(1)`` amortised).  Every strategy must return the identical quote
   sequence; the speedups are reported per system size.
 * **Queue kernel** — the classic *hold model* (Vaucher & Duval) driven
-  straight through the :class:`~repro.sim.queues.EventQueue` interface, per
-  backend: pre-fill a standing event population, then pop-one/push-one with a
-  configurable cancellation-churn mix (negotiation-timeout style: schedule a
-  far timeout, cancel it).  The hold-phase throughput is the headline
-  events/s — it isolates the queue data structure the way the literature
-  does, and the pop order is digest-checked identical across backends.
+  straight through the :class:`~repro.sim.queues.HeapQueue`: pre-fill a
+  standing event population, then pop-one/push-one with a configurable
+  cancellation-churn mix (negotiation-timeout style: schedule a far timeout,
+  cancel it).  The hold-phase throughput is the headline events/s — it
+  isolates the queue data structure the way the literature does.
 * **Engine kernel** — schedule/cancel/fire throughput through the full
-  :class:`~repro.sim.engine.Simulator`, per backend, so the queue-level win
-  can be read against the engine's fixed per-event overhead.
+  :class:`~repro.sim.engine.Simulator`, so the queue-level cost can be read
+  against the engine's fixed per-event overhead.
 * **LRMS availability profile** — from-scratch rebuilds of one FCFS
   cluster's admission-estimate profile (64 running jobs, queues of 8/32/128),
   reported as rebuilds/s: the layer that dominated serial runs before its
@@ -35,9 +34,9 @@ the scheduling hot path are timed:
   equal, ratio recorded.
 
 The ``xl`` scale pushes the directory benchmark to 512/1024 clusters (via
-Table-1 replication), the queue kernel to a million-event standing population
-(the pending set a 1024-cluster federation carries), and the end-to-end run
-to 1024 clusters — far beyond the paper's 64-cluster Experiment 5.
+Table-1 replication), the queue kernel to a multi-million-event standing
+population, and the end-to-end run to 1024 clusters — far beyond the paper's
+64-cluster Experiment 5.
 
 :func:`run_benchmarks` executes everything at a named scale and returns a JSON-
 serialisable report; :func:`write_report` emits ``benchmarks/BENCH_perf.json``
@@ -71,14 +70,13 @@ from repro.net.transport import Transport
 from repro.p2p.directory import FederationDirectory, RankCriterion
 from repro.scenario import Scenario, result_fingerprint, run_scenario
 from repro.sim.engine import ScheduledEvent, Simulator
-from repro.sim.queues import create_queue
+from repro.sim.queues import HeapQueue
 from repro.workload.archive import build_federation_specs, replicate_resources
 from repro.workload.job import Job
 
 __all__ = [
     "BENCH_SCALES",
     "BenchScale",
-    "QUEUE_BACKENDS",
     "bench_directory_queries",
     "bench_queue_kernel",
     "bench_event_kernel",
@@ -96,13 +94,11 @@ __all__ = [
 ]
 
 #: Schema tag written into every report (bump on incompatible layout changes).
-#: v2: per-backend ``queue_kernel`` / ``event_kernel`` row lists and the
-#: ``transport`` fast-path section replaced the single v1 kernel record.
+#: v2: ``queue_kernel`` / ``event_kernel`` row lists and the ``transport``
+#: fast-path section replaced the single v1 kernel record.  Kernel rows keep
+#: their ``backend`` field (always ``"heap"``) so their gate keys still match
+#: the checked-in baseline.
 REPORT_SCHEMA = "gridfed-bench/2"
-
-#: Event-queue backends every kernel benchmark covers (heap first: it is the
-#: baseline the speedup columns are relative to).
-QUEUE_BACKENDS: Tuple[str, ...] = ("heap", "calendar")
 
 #: Baselines under this many seconds are scheduler noise on shared CI runners:
 #: excluded from the wall-clock regression gate and labelled "noise" in the
@@ -183,12 +179,9 @@ BENCH_SCALES: Dict[str, BenchScale] = {
         par_workers=(1, 2, 4),
     ),
     # Scale-out tier: the paper's Experiment 5 stops at 64 clusters; this is
-    # where the calendar backend and the transport fast path earn their keep.
-    # The kernel's standing population models guard-rich in-flight state at
-    # 1024 clusters (arrivals + running work + a timeout guard per in-flight
-    # RPC): millions of pending events, far beyond any CPU's last-level
-    # cache — the regime where the heap's O(log n) sift turns into ~20 DRAM
-    # misses per operation while calendar buckets stay on one line.
+    # where the transport fast path earns its keep.  The kernel's standing
+    # population is far beyond any CPU's last-level cache, the regime where
+    # the heap's O(log n) sift turns into ~20 DRAM misses per operation.
     "xl": BenchScale(
         "xl",
         sizes=(512, 1024),
@@ -319,7 +312,7 @@ def bench_directory_queries(
 
 
 # --------------------------------------------------------------------------- #
-# Queue-kernel hold-model micro-benchmark (per backend)
+# Queue-kernel hold-model micro-benchmark
 # --------------------------------------------------------------------------- #
 def bench_queue_kernel(
     standing: int,
@@ -327,27 +320,21 @@ def bench_queue_kernel(
     guards: float = 1.0,
     repeats: int = 1,
     seed: int = 0,
-    backends: Sequence[str] = QUEUE_BACKENDS,
 ) -> List[Dict[str, object]]:
-    """The hold model, straight through the :class:`EventQueue` interface.
+    """The hold model, straight through the :class:`HeapQueue`.
 
-    Phase 1 (reported as ``fill_s``) mass-inserts ``standing`` events — the
-    pre-scheduled arrival population of a large federation.  Phase 2 (the
-    headline, ``hold_s`` / ``events_per_s``) performs ``holds`` hold
-    operations: pop the minimum, push a successor a random step ahead —
-    steady state for a discrete-event kernel.  Each hold additionally arms
-    ``guards`` timeout guards and cancels them on completion — the pattern of
-    a timeout-guarded protocol with several in-flight RPCs per scheduling
-    decision (a fractional part arms one more with that probability).
-    Backends with true deletion (calendar) drop a cancelled guard on the
-    spot; lazy backends (heap) pay a near-future sift-up *and* a full
-    sift-down when the corpse surfaces — the asymmetry that dominates kernel
-    cost at federation scale.
+    Phase 1 (reported as ``fill_s``) inserts ``standing`` events, one at a
+    time.  Phase 2 (the headline, ``hold_s`` / ``events_per_s``) performs
+    ``holds`` hold operations: pop the minimum, push a successor a random
+    step ahead — steady state for a discrete-event kernel.  Each hold
+    additionally arms ``guards`` timeout guards and cancels them on
+    completion — the pattern of a timeout-guarded protocol with several
+    in-flight RPCs per scheduling decision (a fractional part arms one more
+    with that probability).  A cancelled guard stays in the heap until it
+    surfaces, so it costs a sift-up on push and a sift-down on pop.
 
-    Every backend must pop the identical event sequence — the per-row
-    ``order`` digest is compared across backends and reported as
-    ``orders_identical``.  Rows after the first carry ``speedup_vs_heap``
-    (hold-phase ratio), which is the number the xl acceptance gate watches.
+    Returns one row (a list, so the report layout matches the per-kernel
+    row lists of the other sections).
     """
     rng = np.random.default_rng(seed)
     fill_times = [float(d) for d in rng.random(standing) * 1_000.0]
@@ -355,10 +342,9 @@ def bench_queue_kernel(
     whole_guards = int(guards)
     extra_mask = rng.random(holds) < (guards - whole_guards)
 
-    def once(backend: str) -> Tuple[float, float, int]:
-        queue = create_queue(backend)
+    def once() -> Tuple[float, float]:
+        queue = HeapQueue()
         seq = 0
-        digest = 0
         start = time.perf_counter()
         for t in fill_times:
             queue.push(ScheduledEvent(t, 0, seq, _noop))
@@ -370,7 +356,6 @@ def bench_queue_kernel(
                 event = queue.pop()
                 if not event.cancelled:
                     break
-            digest = (digest * 1_000_003 + event.seq) & 0xFFFFFFFFFFFF
             # Re-stamp the popped handle as its own successor — the engine's
             # pooled-handle pattern, so the hold phase measures queue ops,
             # not allocator throughput.  (Timeout guards do need fresh
@@ -386,37 +371,23 @@ def bench_queue_kernel(
                 seq += 1
                 queue.push(timeout)
                 timeout.cancelled = True
-                queue.discard(timeout)
         hold_elapsed = time.perf_counter() - start
-        return fill_elapsed, hold_elapsed, digest
+        return fill_elapsed, hold_elapsed
 
-    rows: List[Dict[str, object]] = []
-    digests: Dict[str, int] = {}
-    for backend in backends:
-        best_fill = best_hold = None
-        for _ in range(max(1, repeats)):
-            fill_elapsed, hold_elapsed, digest = once(backend)
-            digests[backend] = digest
-            best_fill = fill_elapsed if best_fill is None else min(best_fill, fill_elapsed)
-            best_hold = hold_elapsed if best_hold is None else min(best_hold, hold_elapsed)
-        rows.append(
-            {
-                "backend": backend,
-                "standing": int(standing),
-                "holds": int(holds),
-                "guards": float(guards),
-                "fill_s": best_fill,
-                "hold_s": best_hold,
-                "events_per_s": holds / max(best_hold, 1e-12),
-            }
-        )
-    identical = len(set(digests.values())) == 1
-    baseline = rows[0]["hold_s"]
-    for row in rows:
-        row["orders_identical"] = bool(identical)
-        if row["backend"] != rows[0]["backend"]:
-            row["speedup_vs_heap"] = baseline / max(row["hold_s"], 1e-12)
-    return rows
+    timings = [once() for _ in range(max(1, repeats))]
+    best_fill = min(fill for fill, _ in timings)
+    best_hold = min(hold for _, hold in timings)
+    return [
+        {
+            "backend": "heap",
+            "standing": int(standing),
+            "holds": int(holds),
+            "guards": float(guards),
+            "fill_s": best_fill,
+            "hold_s": best_hold,
+            "events_per_s": holds / max(best_hold, 1e-12),
+        }
+    ]
 
 
 def _noop() -> None:  # pragma: no cover - never fired by the queue benches
@@ -424,26 +395,23 @@ def _noop() -> None:  # pragma: no cover - never fired by the queue benches
 
 
 # --------------------------------------------------------------------------- #
-# Engine-kernel throughput micro-benchmark (per backend)
+# Engine-kernel throughput micro-benchmark
 # --------------------------------------------------------------------------- #
-def bench_event_kernel(
-    events: int, repeats: int = 1, seed: int = 0, backend: str = "heap"
-) -> Dict[str, object]:
+def bench_event_kernel(events: int, repeats: int = 1, seed: int = 0) -> Dict[str, object]:
     """Schedule/cancel/fire ``events`` callbacks; report events per second.
 
-    The workload mirrors a federation run: most events are pre-scheduled at
-    random times (job arrivals), a tick chain reschedules itself (repricing
-    controllers), and ~5% of handles are cancelled before firing.  Runs
-    through the full :class:`Simulator`, so it includes the engine's fixed
-    per-event overhead — compare with :func:`bench_queue_kernel` for the
-    isolated data-structure cost.
+    The workload schedules ``events`` callbacks at random times up front and
+    cancels ~5% of the handles before firing.  Runs through the full
+    :class:`Simulator`, so it includes the engine's fixed per-event overhead
+    — compare with :func:`bench_queue_kernel` for the isolated
+    data-structure cost.
     """
     rng = np.random.default_rng(seed)
     delays = rng.random(events) * 1_000.0
     cancel_mask = rng.random(events) < 0.05
 
     def once() -> float:
-        sim = Simulator(queue=backend)
+        sim = Simulator()
         sink: List[float] = []
         start = time.perf_counter()
         handles = [sim.schedule(float(delay), sink.append, float(delay)) for delay in delays]
@@ -459,7 +427,7 @@ def bench_event_kernel(
     seconds = _best_of(repeats, once)
     fired = int(events - int(cancel_mask.sum()))
     return {
-        "backend": backend,
+        "backend": "heap",
         "events_scheduled": int(events),
         "events_fired": fired,
         "seconds": seconds,
@@ -954,10 +922,7 @@ def run_benchmarks(
             repeats=scale.repeats,
             seed=seed,
         ),
-        "event_kernel": [
-            bench_event_kernel(scale.events, repeats=scale.repeats, backend=backend)
-            for backend in QUEUE_BACKENDS
-        ],
+        "event_kernel": [bench_event_kernel(scale.events, repeats=scale.repeats)],
         "lrms_profile": bench_lrms_profile(repeats=scale.repeats, seed=seed),
         "table3": bench_table3(
             scale.table3_thin,
@@ -1092,22 +1057,6 @@ def compare_to_baseline(
         if not row.get("results_identical", True):
             problems.append(
                 f"directory_query/{row['clusters']}: strategies returned different quotes"
-            )
-    for row in report.get("queue_kernel", []):
-        if not row.get("orders_identical", True):
-            problems.append(
-                f"queue_kernel/{row['backend']}: backends popped different event orders"
-            )
-        # The xl acceptance floor: once the standing population is DRAM-bound
-        # (beyond any last-level cache) the calendar backend must deliver at
-        # least twice the heap's hold throughput.  It measures ~5-6x there;
-        # at cache-resident populations heapq's C constants keep the two
-        # comparable, so the gate deliberately only arms at xl scale.
-        speedup = float(row.get("speedup_vs_heap", 0.0))
-        if row["backend"] == "calendar" and row["standing"] >= 4_000_000 and speedup < 2.0:
-            problems.append(
-                f"queue_kernel/calendar@{row['standing']}: hold speedup over the "
-                f"heap collapsed to {speedup:.2f}x (floor: 2.0x)"
             )
     for row in report.get("table3", []):
         if not row.get("outputs_identical", True):
@@ -1260,47 +1209,28 @@ def render_report(report: Dict[str, object]) -> str:
     )
     rows = [
         [
-            row["backend"],
             row["standing"],
             row["holds"],
             row["guards"],
             row["fill_s"],
             row["hold_s"],
             row["events_per_s"],
-            f"{row['speedup_vs_heap']:.2f}x" if "speedup_vs_heap" in row else "-",
-            "yes" if row.get("orders_identical", True) else "NO",
         ]
         for row in report["queue_kernel"]
     ]
     out.append(
         render_table(
-            [
-                "Backend",
-                "Standing",
-                "Holds",
-                "Guards",
-                "Fill s",
-                "Hold s",
-                "Events/s",
-                "vs heap",
-                "Identical",
-            ],
+            ["Standing", "Holds", "Guards", "Fill s", "Hold s", "Events/s"],
             rows,
-            title="Queue kernel — hold model through the EventQueue backends",
+            title="Queue kernel — hold model through the heap",
         )
     )
-    kernel_rows = report["event_kernel"]
     out.append(
         render_table(
-            ["Backend", "Events fired", "Seconds", "Events/s"],
+            ["Events fired", "Seconds", "Events/s"],
             [
-                [
-                    row["backend"],
-                    row["events_fired"],
-                    row["seconds"],
-                    row["events_per_s"],
-                ]
-                for row in kernel_rows
+                [row["events_fired"], row["seconds"], row["events_per_s"]]
+                for row in report["event_kernel"]
             ],
             title="Engine kernel throughput (full Simulator)",
         )

@@ -2,7 +2,7 @@
 
 A snapshot captures *everything* a run needs to continue byte-identically:
 the :class:`~repro.sim.engine.Simulator` clock, sequence counter and pending
-event queue (either backend), every entity (GFAs, LRMS queues, directory or
+event queue, every entity (GFAs, LRMS queues, directory or
 sharded directory, GridBank, MessageLog, transport state, fault-injector
 state), every named RNG stream, and the global job/event id counters that
 mid-run fault events consume.  The capture is a whole-object-graph pickle of
@@ -15,11 +15,11 @@ File format (version :data:`SNAPSHOT_FORMAT_VERSION`)::
 
     magic line        b"gridfed-snapshot\\n"
     header length     4 bytes, big endian
-    header            JSON (format version, scenario hash, engine, clock, ...)
+    header            JSON (format version, scenario hash, clock, ...)
     payload           pickle (federation, scenario, global counters)
 
 The JSON header is readable without unpickling anything, so compatibility
-guards (format version, scenario hash, queue backend) fail fast *before* any
+guards (format version, scenario hash) fail fast *before* any
 code from the payload runs, and status tooling can report progress without
 paying the unpickle cost.
 
@@ -60,7 +60,9 @@ __all__ = [
 
 #: Bump when the snapshot layout or the pickled object graph changes shape
 #: incompatibly; resuming across versions fails fast instead of corrupting.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Version 2 dropped the header's ``engine`` field and streams each user
+#: population's arrivals (a v1 payload holds every arrival pre-scheduled).
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MAGIC = b"gridfed-snapshot\n"
 
@@ -72,9 +74,9 @@ class SnapshotError(RuntimeError):
 class SnapshotMismatchError(SnapshotError):
     """Raised when a snapshot is valid but incompatible with the resume.
 
-    Covers the three refusal cases: different snapshot format version,
-    different scenario hash, and different queue backend.  The message always
-    says which side is which and what to do about it.
+    Covers the two refusal cases: different snapshot format version and
+    different scenario hash.  The message always says which side is which
+    and what to do about it.
     """
 
 
@@ -85,7 +87,6 @@ class SnapshotHeader:
     format_version: int
     scenario_hash: str
     scenario_summary: str
-    engine: str
     sim_time: float
     events_processed: int
     pending_events: int
@@ -107,9 +108,26 @@ class SnapshotHeader:
     def from_json(cls, blob: str) -> "SnapshotHeader":
         try:
             fields = json.loads(blob)
-            return cls(**fields)
-        except (ValueError, TypeError) as exc:
+            version = fields.get("format_version")
+        except (ValueError, AttributeError) as exc:
             raise SnapshotError(f"corrupt snapshot header: {exc}") from None
+        # Checked before the fields are applied: another version's header
+        # may carry fields this build no longer knows.
+        _check_format_version(version)
+        try:
+            return cls(**fields)
+        except TypeError as exc:
+            raise SnapshotError(f"corrupt snapshot header: {exc}") from None
+
+
+def _check_format_version(version) -> None:
+    if version != SNAPSHOT_FORMAT_VERSION:
+        raise SnapshotMismatchError(
+            f"snapshot format version {version} is not supported "
+            f"by this build (which reads version {SNAPSHOT_FORMAT_VERSION}); "
+            "re-run the original scenario from scratch with the current code, "
+            "or resume with the gridfed version that wrote the snapshot"
+        )
 
 
 def _build_header(federation: Federation, scenario: Scenario) -> SnapshotHeader:
@@ -119,7 +137,6 @@ def _build_header(federation: Federation, scenario: Scenario) -> SnapshotHeader:
         format_version=SNAPSHOT_FORMAT_VERSION,
         scenario_hash=scenario.scenario_hash(),
         scenario_summary=scenario.describe(),
-        engine=federation.sim.queue_name,
         sim_time=federation.sim.now,
         events_processed=federation.sim.events_processed,
         pending_events=federation.sim.pending,
@@ -200,20 +217,13 @@ def verify_compatible(
     header: SnapshotHeader,
     *,
     expected_scenario: Optional[Scenario] = None,
-    expected_engine: Optional[str] = None,
 ) -> None:
     """Refuse mismatched resumes *before* the payload is unpickled.
 
     Raises :class:`SnapshotMismatchError` with an actionable message on a
-    format-version, scenario-hash or queue-backend mismatch.
+    format-version or scenario-hash mismatch.
     """
-    if header.format_version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotMismatchError(
-            f"snapshot format version {header.format_version} is not supported "
-            f"by this build (which reads version {SNAPSHOT_FORMAT_VERSION}); "
-            "re-run the original scenario from scratch with the current code, "
-            "or resume with the gridfed version that wrote the snapshot"
-        )
+    _check_format_version(header.format_version)
     if expected_scenario is not None:
         expected_hash = expected_scenario.scenario_hash()
         if expected_hash != header.scenario_hash:
@@ -224,20 +234,12 @@ def verify_compatible(
                 f"({expected_scenario.describe()}); resume without overriding "
                 "scenario options, or start a fresh run for the new scenario"
             )
-    if expected_engine is not None and expected_engine != header.engine:
-        raise SnapshotMismatchError(
-            f"queue backend mismatch: the snapshot was taken under the "
-            f"{header.engine!r} event queue but the resume requested "
-            f"{expected_engine!r}; a queue backend cannot change mid-run — "
-            f"pass --queue {header.engine} (or drop the flag) to resume"
-        )
 
 
 def load_snapshot(
     path: str | os.PathLike,
     *,
     expected_scenario: Optional[Scenario] = None,
-    expected_engine: Optional[str] = None,
     restore_counters: bool = True,
 ) -> Tuple[SnapshotHeader, Federation, Scenario]:
     """Load a snapshot, verify compatibility, and restore global counters.
@@ -250,11 +252,7 @@ def load_snapshot(
     try:
         with open(path, "rb") as handle:
             header = _read_preamble(handle)
-            verify_compatible(
-                header,
-                expected_scenario=expected_scenario,
-                expected_engine=expected_engine,
-            )
+            verify_compatible(header, expected_scenario=expected_scenario)
             try:
                 payload = pickle.load(handle)
             except Exception as exc:

@@ -1,24 +1,24 @@
 """Core discrete-event simulation engine.
 
-The :class:`Simulator` keeps scheduled callbacks in a pluggable
-:class:`~repro.sim.queues.EventQueue` backend ordered by
-(time, priority, sequence-number).  The sequence number guarantees a stable,
-deterministic ordering for events scheduled at identical timestamps, which is
-essential for reproducible experiments: two runs with the same seeds produce
-bit-identical schedules.  This is a *contract*, not an implementation detail:
+The :class:`Simulator` keeps scheduled callbacks in a
+:class:`~repro.sim.queues.HeapQueue` ordered by (time, priority,
+sequence-number).  The sequence number guarantees a stable, deterministic
+ordering for events scheduled at identical timestamps, which is essential for
+reproducible experiments: two runs with the same seeds produce bit-identical
+schedules.  This is a *contract*, not an implementation detail:
 latency-bearing transports routinely land independent messages on the same
 timestamp, and their delivery order must be schedule order — never a heap
 insertion accident.  :mod:`repro.sim.entity` mirrors the sequence number on
 ``Event.seq`` so the order is observable at the message layer, and
-``tests/test_delivery_order.py`` pins the guarantee for *every registered
-backend* (the tests fail against a seq-less heap, whose equal-key pop order
-depends on push/pop history).
+``tests/test_delivery_order.py`` pins the guarantee (the tests fail against a
+seq-less heap, whose equal-key pop order depends on push/pop history).
 
-Backends are selected by name — ``Simulator(queue="heap")`` (the default
-binary heap) or ``Simulator(queue="calendar")`` (the amortized-O(1) calendar
-queue for large-federation runs) — and must honour the same contract, so the
-backend can change wall-clock cost but never results (see
-:mod:`repro.sim.queues`).
+A caller that streams a known series of future events one at a time (a user
+population keeps only its next arrival pending) reserves their sequence
+numbers up front with :meth:`Simulator.reserve_seqs` and passes each to
+:meth:`Simulator.schedule_at` as ``seq=``: the events keep the keys they
+would have had if all were scheduled at once, so delivery order is the same
+while the pending set stays small.
 
 The engine is deliberately callback-based rather than coroutine-based: the
 Grid-Federation entities (GFAs, LRMSes, user populations) are reactive state
@@ -32,10 +32,10 @@ Two hot-path details worth knowing:
   references (checked by refcount) are recycled into the next ``schedule``
   call instead of being reallocated; handles a caller retains are simply
   never pooled, so the optimisation is invisible.
-* **Cancellation compaction** — backends that cannot delete cancelled events
-  eagerly (the heap) are compacted once dead entries outnumber live ones, so
-  churn-heavy runs keep the queue length proportional to the *live* event
-  population instead of growing without bound.
+* **Cancellation compaction** — a heap cannot delete cancelled events
+  eagerly, so the queue is compacted once dead entries outnumber live ones
+  and churn-heavy runs keep the queue length proportional to the *live*
+  event population instead of growing without bound.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ from __future__ import annotations
 import itertools
 import math
 from sys import getrefcount
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional
 
-from repro.sim.queues import EventQueue, create_queue
+from repro.sim.queues import HeapQueue
 
 #: Fired handles kept for reuse; beyond this, handles are left to the GC.
 _POOL_MAX = 512
 
-#: Dead entries tolerated in a lazy-deletion backend before compaction (and
+#: Dead entries tolerated in the heap before compaction (and
 #: the floor below which compaction is never worth the rebuild).
 _COMPACT_MIN_DEAD = 64
 
@@ -66,7 +66,7 @@ class SimulationError(RuntimeError):
 class ScheduledEvent:
     """A handle to a scheduled callback.
 
-    Events are ordered by ``(time, priority, seq)``; the backends store bare
+    Events are ordered by ``(time, priority, seq)``; the queue stores bare
     tuples carrying those primitives so ordering comparisons never touch the
     event object (the unique ``seq`` guarantees it).  The handle is slotted
     and pooled: federations schedule one event per job arrival and per job
@@ -126,11 +126,6 @@ class Simulator:
     trace:
         Optional callable invoked as ``trace(time, label)`` every time an
         event fires; useful for debugging small scenarios.
-    queue:
-        Event-queue backend: a registered name (``"heap"``, ``"calendar"``)
-        or a ready :class:`~repro.sim.queues.EventQueue` instance.  Every
-        backend delivers the identical event order; pick ``"calendar"`` when
-        the pending event population is large (see docs/PERFORMANCE.md).
 
     Examples
     --------
@@ -149,15 +144,11 @@ class Simulator:
         self,
         start_time: float = 0.0,
         trace: Optional[Callable[[float, str], None]] = None,
-        queue: Union[str, EventQueue, None] = None,
     ):
         if not math.isfinite(start_time):
             raise SimulationError("start_time must be finite")
         self._now: float = float(start_time)
-        try:
-            self._queue: EventQueue = create_queue(queue, self._now)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from None
+        self._queue = HeapQueue()
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -189,14 +180,9 @@ class Simulator:
         return self._pending
 
     @property
-    def queue_name(self) -> str:
-        """Registry name of the event-queue backend in use."""
-        return self._queue.name
-
-    @property
     def queue_size(self) -> int:
-        """Raw entries held by the backend, *including* cancelled ones a
-        lazy-deletion backend has not dropped yet.  The compaction guarantee
+        """Raw entries held by the queue, *including* cancelled ones the
+        heap has not dropped yet.  The compaction guarantee
         keeps this within a constant factor of :attr:`pending` (plus the
         compaction floor), bounded regardless of cancellation churn."""
         return len(self._queue)
@@ -240,8 +226,14 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
+        seq: Optional[int] = None,
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
+        """Schedule ``callback(*args)`` at an absolute simulation time.
+
+        ``seq`` places the event with a sequence number taken earlier from
+        :meth:`reserve_seqs` instead of the next one; each reserved number
+        must be used at most once.
+        """
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
         if time < self._now:
@@ -250,7 +242,8 @@ class Simulator:
             )
         if not callable(callback):
             raise SimulationError("callback must be callable")
-        seq = next(self._seq)
+        if seq is None:
+            seq = next(self._seq)
         pool = self._pool
         if pool:
             event = pool.pop()
@@ -267,6 +260,19 @@ class Simulator:
         self._pending += 1
         return event
 
+    def reserve_seqs(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the first.
+
+        An event later scheduled with ``schedule_at(..., seq=first + i)``
+        takes the place it would have taken as the ``i``-th of ``count``
+        :meth:`schedule_at` calls made now.
+        """
+        if count < 0:
+            raise SimulationError(f"count must be non-negative, got {count!r}")
+        first = next(self._seq)
+        self._seq = itertools.count(first + count)
+        return first
+
     def schedule_at_many(
         self,
         items,
@@ -277,10 +283,10 @@ class Simulator:
 
         Sequence numbers are assigned in iteration order, so the delivery
         order is exactly what the equivalent :meth:`schedule_at` loop would
-        produce; the batch form exists so burst paths (user-population
-        start-up, fault-plan load spikes, cross-shard window injection) pay
-        one backend :meth:`~repro.sim.queues.EventQueue.push_many` instead of
-        one push per event.
+        produce; the batch form exists so burst paths (fault-plan start-up
+        and load spikes, cross-shard window injection) pay one
+        :meth:`~repro.sim.queues.HeapQueue.push_many` instead of one push per
+        event.
         """
         now = self._now
         seq_counter = self._seq
@@ -321,10 +327,9 @@ class Simulator:
         already fired (or been drained) is a harmless no-op on the pending
         count, as it always was.
 
-        Backends with random deletion (the calendar queue) drop the entry
-        immediately; lazy backends (the heap) mark it and the engine compacts
-        the queue once dead entries outnumber live ones, so the queue length
-        stays bounded under cancellation churn either way.
+        The heap entry stays in place (lazy deletion); the queue is compacted
+        once dead entries outnumber live ones, so its length stays bounded
+        under cancellation churn.
         """
         if event.cancelled:
             raise SimulationError("event already cancelled")
@@ -332,10 +337,9 @@ class Simulator:
         if event._queued:
             self._pending -= 1
             queue = self._queue
-            if not queue.discard(event):
-                dead = len(queue) - self._pending
-                if dead > _COMPACT_MIN_DEAD and dead > self._pending:
-                    queue.compact()
+            dead = len(queue) - self._pending
+            if dead > _COMPACT_MIN_DEAD and dead > self._pending:
+                queue.compact()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -355,7 +359,7 @@ class Simulator:
                 continue
             if event.time < self._now:
                 raise SimulationError(
-                    f"queue backend {queue.name!r} delivered event out of order "
+                    f"event queue delivered event out of order "
                     f"({event.time} < now {self._now})"
                 )
             self._now = event.time
@@ -402,7 +406,7 @@ class Simulator:
     def _run_unbounded(self) -> None:
         """The hot loop: no horizon, no event budget — just drain the queue.
 
-        Inlines :meth:`step` so the per-event cost is one backend ``pop``
+        Inlines :meth:`step` so the per-event cost is one heap ``pop``
         plus the fire itself (this loop carries whole federation runs).
         """
         queue = self._queue
@@ -416,7 +420,7 @@ class Simulator:
                 continue
             if event.time < self._now:
                 raise SimulationError(
-                    f"queue backend {queue.name!r} delivered event out of order "
+                    f"event queue delivered event out of order "
                     f"({event.time} < now {self._now})"
                 )
             self._now = event.time
@@ -556,5 +560,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"Simulator(now={self._now:.3f}, pending={self.pending}, "
-            f"fired={self._events_processed}, queue={self.queue_name!r})"
+            f"fired={self._events_processed})"
         )

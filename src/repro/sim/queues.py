@@ -1,293 +1,61 @@
-"""Pluggable event-queue backends for the simulation kernel.
+"""The simulation kernel's event queue.
 
-The :class:`~repro.sim.engine.Simulator` delegates event storage to an
-:class:`EventQueue` backend selected by name (``Simulator(queue="calendar")``,
-``Scenario(engine=...)``, ``gridfed run --queue ...``).  Every backend honours
-the same delivery contract — events pop in strictly increasing
-``(time, priority, seq)`` order — so the choice of backend can never change a
-simulation's results, only its wall-clock cost (pinned by the backend-
-parametrized delivery-order suite and a hypothesis oracle test that replays
-random schedule/cancel interleavings through every backend).
+:class:`HeapQueue` keeps the :class:`~repro.sim.engine.Simulator`'s pending
+events in a binary heap of bare ``(time, priority, seq, event)`` tuples, so
+events pop in strictly increasing ``(time, priority, seq)`` order and sift
+comparisons never touch the event object (the unique ``seq`` guarantees it).
 
-Two backends ship built in:
+The pending set stays small: each user population keeps a single pending
+arrival (see :mod:`repro.core.users`), so the heap holds one entry per
+population plus the timers, completions and in-flight messages of the run,
+and ``O(log n)`` per push/pop with ``heapq``'s small constants is the right
+cost model (measurements in docs/PERFORMANCE.md).
 
-``heap``
-    The classic binary heap (``heapq`` on bare ``(time, priority, seq, event)``
-    tuples).  ``O(log n)`` per push/pop with tiny constants; cancelled events
-    cannot be removed, they linger until popped (the engine compacts when the
-    dead fraction grows).  The right default at paper scale, where the pending
-    set stays small.
-
-``calendar``
-    An amortized ``O(1)`` calendar queue (Brown 1988): events hash into
-    time-bucket "days" of an adaptively sized "year"; each bucket keeps its
-    entries sorted, so the earliest event pops from the current day in O(1)
-    and a push costs one bucket insert.  Bucket count and width re-tune as
-    the population grows and shrinks.  Unlike the heap it supports *true*
-    ``discard`` — a cancelled event is deleted from its bucket immediately —
-    so churn-heavy runs never accumulate dead entries.  Wins once the pending
-    set is large (hundreds of thousands of events — the 1024-cluster regime
-    measured in ``repro.perf``); loses to the heap's constants below that.
-
-Register further backends with :func:`register_queue`::
-
-    from repro.sim.queues import EventQueue, register_queue
-
-    @register_queue("splay")
-    class SplayQueue(EventQueue):
-        ...
-
-Backends store :class:`~repro.sim.engine.ScheduledEvent`-shaped objects but
-only touch their ``time`` / ``priority`` / ``seq`` / ``cancelled`` /
+The queue stores :class:`~repro.sim.engine.ScheduledEvent`-shaped objects but
+only touches their ``time`` / ``priority`` / ``seq`` / ``cancelled`` /
 ``_queued`` attributes (duck-typed, so this module imports nothing from the
 engine and the engine can import it freely).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Tuple
 
-__all__ = [
-    "EventQueue",
-    "HeapQueue",
-    "CalendarQueue",
-    "QUEUE_REGISTRY",
-    "register_queue",
-    "create_queue",
-    "available_queues",
-    "DEFAULT_QUEUE",
-    "AUTO_QUEUE",
-    "CALENDAR_CUTOVER_EVENTS",
-    "estimate_standing_events",
-    "recommend_queue",
-    "resolve_queue_name",
-]
-
-#: Backend the simulator uses when none is named.
-DEFAULT_QUEUE = "heap"
-
-#: Pseudo-backend name: pick the backend from the expected event population.
-AUTO_QUEUE = "auto"
-
-#: Standing-event population above which the calendar queue's amortized-O(1)
-#: push/pop beats the heap's smaller constants.  Profiled on the v2 bench
-#: data: at default scale (~200k standing events) the heap sustains ~218k
-#: events/s against the calendar's ~129k, while the 1024-cluster regime
-#: (~1.3M standing events) inverts the ranking — the heap's O(log n) sift
-#: cost crosses the calendar's constant right around a million entries.
-CALENDAR_CUTOVER_EVENTS = 1_000_000
+__all__ = ["HeapQueue"]
 
 
-def estimate_standing_events(
-    num_resources: int,
-    total_jobs: int,
-    *,
-    directory_shards: int = 1,
-    workers: int = 1,
-) -> int:
-    """Expected peak pending-event population of a federation run.
+class HeapQueue:
+    """``heapq`` over bare ``(time, priority, seq, event)`` tuples.
 
-    User populations schedule *every* submission up front, so the standing
-    population starts at the total job count; each cluster contributes a
-    small constant of timers, completions and negotiation round-trips on
-    top.  The estimate only needs order-of-magnitude accuracy — it feeds the
-    ``auto`` backend choice, where the two sides of the cutover differ by
-    well under 2x in throughput near the crossing point.
-
-    ``directory_shards`` adds the small per-shard control-plane overhead of a
-    partitioned directory (scatter-gather sessions and batch flush timers).
-    ``workers`` divides the population: a parallel run gives each worker its
-    own engine over roughly ``1/workers`` of the clusters and their jobs, so
-    the cutover must be sized for one shard's standing population, not the
-    whole federation's (sizing for the whole federation made ``auto`` pick
-    the calendar queue for shards that individually sit far below the
-    cutover).
-    """
-    workers = max(workers, 1)
-    shards = max(directory_shards, 1)
-    resources = max(num_resources, 0)
-    jobs = max(total_jobs, 0)
-    if workers > 1:
-        jobs = -(-jobs // workers)
-        resources = -(-resources // workers)
-    return jobs + 8 * resources + 4 * (shards - 1)
-
-
-def recommend_queue(expected_standing_events: int) -> str:
-    """The profile-driven backend recommendation for an expected population."""
-    if expected_standing_events >= CALENDAR_CUTOVER_EVENTS:
-        return "calendar"
-    return DEFAULT_QUEUE
-
-
-def resolve_queue_name(
-    name: str, expected_standing_events: Optional[int] = None
-) -> str:
-    """Resolve a backend name, mapping ``"auto"`` through the heuristic.
-
-    Concrete names pass through untouched.  ``"auto"`` resolves via
-    :func:`recommend_queue` when the caller can estimate its standing-event
-    population, and to :data:`DEFAULT_QUEUE` otherwise.
-    """
-    if name != AUTO_QUEUE:
-        return name
-    if expected_standing_events is None:
-        return DEFAULT_QUEUE
-    return recommend_queue(expected_standing_events)
-
-
-class EventQueue:
-    """Interface every event-queue backend implements.
-
-    The contract (enforced by the backend-parametrized ordering tests):
+    The contract the engine relies on:
 
     * :meth:`pop` returns entries in strictly increasing
       ``(time, priority, seq)`` order;
-    * an event physically leaving the structure (pop, successful discard,
-      compaction of a cancelled entry) gets its ``_queued`` flag cleared;
-    * ``len(queue)`` is the raw entry count *including* cancelled entries the
-      backend could not remove eagerly.
-    """
-
-    #: Registry key (set by :func:`register_queue`).
-    name: str = "abstract"
-
-    def push(self, event) -> None:  # pragma: no cover - interface
-        """Insert a scheduled event."""
-        raise NotImplementedError
-
-    def pop(self):  # pragma: no cover - interface
-        """Remove and return the next event (possibly a lingering cancelled
-        one — the engine skips those), or ``None`` when empty."""
-        raise NotImplementedError
-
-    def peek(self):  # pragma: no cover - interface
-        """The next non-cancelled event without removing it (``None`` when
-        empty).  May drop lingering cancelled entries along the way."""
-        raise NotImplementedError
-
-    def push_many(self, events) -> None:
-        """Insert a batch of scheduled events.
-
-        Equivalent to ``for event in events: self.push(event)`` — the batch
-        entry point exists so backends can amortize per-event overhead
-        (a single heapify, one bucket-table rebuild) across window-boundary
-        bursts: parallel-shard message injection, user-population start-up
-        and fault-plan load spikes.  Pop order afterwards is identical to the
-        looped form (pinned by the hypothesis parity suite).
-        """
-        for event in events:
-            self.push(event)
-
-    def pop_window(self, horizon: float):
-        """Pop every event with ``time <= horizon``, in delivery order.
-
-        Returns the list of non-cancelled events (cancelled stragglers inside
-        the window are dropped, exactly as a pop loop would skip them); each
-        returned event has its ``_queued`` flag cleared.  The first event
-        strictly after ``horizon`` stays queued.  This is the batch drain the
-        parallel engine uses at lookahead-window boundaries.
-        """
-        events = []
-        append = events.append
-        while True:
-            head = self.peek()
-            if head is None or head.time > horizon:
-                return events
-            event = self.pop()
-            if event is not None and not event.cancelled:
-                append(event)
-
-    def discard(self, event) -> bool:
-        """Try to remove a cancelled event eagerly.
-
-        Returns ``True`` when the entry was physically removed (the backend
-        supports random deletion), ``False`` when the caller must fall back
-        to lazy skip-on-pop semantics.
-        """
-        del event
-        return False
-
-    def compact(self) -> int:
-        """Drop every cancelled entry still stored; returns how many."""
-        return 0
-
-    def __len__(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"{type(self).__name__}(entries={len(self)})"
-
-
-# --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-#: name -> factory taking ``start_time`` and returning a fresh backend.
-QUEUE_REGISTRY: Dict[str, Callable[[float], "EventQueue"]] = {}
-
-
-def register_queue(name: str):
-    """Class decorator registering an :class:`EventQueue` backend by name."""
-
-    def decorator(cls):
-        if name in QUEUE_REGISTRY:
-            raise ValueError(f"queue backend already registered: {name!r}")
-        cls.name = name
-        QUEUE_REGISTRY[name] = cls
-        return cls
-
-    return decorator
-
-
-def available_queues() -> List[str]:
-    """Sorted names of all registered queue backends."""
-    return sorted(QUEUE_REGISTRY)
-
-
-def create_queue(
-    spec: Union[str, "EventQueue", None], start_time: float = 0.0
-) -> "EventQueue":
-    """Resolve a backend spec — a registry name, an instance, or ``None``
-    (the default backend) — into a ready :class:`EventQueue`."""
-    if spec is None:
-        spec = DEFAULT_QUEUE
-    if isinstance(spec, EventQueue):
-        return spec
-    try:
-        factory = QUEUE_REGISTRY[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown event-queue backend {spec!r}; registered: "
-            f"{', '.join(available_queues())}"
-        ) from None
-    return factory(start_time)
-
-
-# --------------------------------------------------------------------------- #
-# Binary heap (the historical kernel)
-# --------------------------------------------------------------------------- #
-@register_queue("heap")
-class HeapQueue(EventQueue):
-    """``heapq`` over bare ``(time, priority, seq, event)`` tuples.
-
-    Comparisons during sift stay on primitives (the unique ``seq`` guarantees
-    the event object is never compared).  Cancelled entries cannot be removed
-    from the middle of a heap, so :meth:`discard` declines and the engine
-    compacts when the dead fraction exceeds its threshold.
+    * an event physically leaving the heap (pop, compaction of a cancelled
+      entry) gets its ``_queued`` flag cleared;
+    * ``len(queue)`` is the raw entry count *including* cancelled entries.
+      Cancelled entries cannot be removed from the middle of a heap, so they
+      linger until popped and the engine calls :meth:`compact` once dead
+      entries outnumber live ones.
     """
 
     __slots__ = ("_heap",)
 
-    def __init__(self, start_time: float = 0.0):
-        del start_time  # a heap needs no time origin
+    def __init__(self):
         self._heap: List[Tuple[float, int, int, object]] = []
 
     def push(self, event) -> None:
+        """Insert a scheduled event."""
         heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def push_many(self, events) -> None:
+        """Insert a batch of scheduled events.
+
+        Pop order afterwards is identical to ``for event in events:
+        self.push(event)``; the batch form picks the cheaper of k sifts and
+        one rebuild.
+        """
         heap = self._heap
         batch = [(event.time, event.priority, event.seq, event) for event in events]
         if not batch:
@@ -302,6 +70,13 @@ class HeapQueue(EventQueue):
             heapify(heap)
 
     def pop_window(self, horizon: float):
+        """Pop every event with ``time <= horizon``, in delivery order.
+
+        Returns the non-cancelled events (cancelled stragglers inside the
+        window are dropped, exactly as a pop loop would skip them); each has
+        its ``_queued`` flag cleared.  The first event strictly after
+        ``horizon`` stays queued.
+        """
         heap = self._heap
         events = []
         append = events.append
@@ -315,6 +90,8 @@ class HeapQueue(EventQueue):
         return events
 
     def pop(self):
+        """Remove and return the next event (possibly a lingering cancelled
+        one — the engine skips those), or ``None`` when empty."""
         heap = self._heap
         if not heap:
             return None
@@ -323,12 +100,15 @@ class HeapQueue(EventQueue):
         return event
 
     def peek(self):
+        """The next non-cancelled event without removing it (``None`` when
+        empty).  Drops lingering cancelled entries along the way."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heappop(heap)[3]._queued = False
         return heap[0][3] if heap else None
 
     def compact(self) -> int:
+        """Drop every cancelled entry still stored; returns how many."""
         heap = self._heap
         live = []
         removed = 0
@@ -346,274 +126,5 @@ class HeapQueue(EventQueue):
     def __len__(self) -> int:
         return len(self._heap)
 
-
-# --------------------------------------------------------------------------- #
-# Calendar queue (amortized O(1))
-# --------------------------------------------------------------------------- #
-#: Bucket-count bounds: grow ×8 up to the cap (beyond it, occupancy grows but
-#: sorted-bucket inserts stay cheap C bisects), shrink ÷4 down to the floor.
-#: The cap bounds idle memory (empty bucket lists) at a few tens of MB while
-#: keeping occupancy in the single digits up to multi-million-event
-#: populations.
-_MIN_BUCKETS = 16
-_MAX_BUCKETS = 1 << 20
-
-
-@register_queue("calendar")
-class CalendarQueue(EventQueue):
-    """A calendar queue: amortized ``O(1)`` push/pop, true ``discard``.
-
-    Entries are stored as ``(time, priority, seq, day, event)`` tuples:
-
-    * each bucket list is kept sorted ascending by C tuple order, so the
-      current day's earliest event is ``bucket[0]`` and pops with
-      ``list.pop(0)`` — an O(depth) pointer memmove, trivial at the ~one-
-      event-per-day occupancy the resize policy maintains;
-    * ``day`` is the absolute (non-wrapped) bucket number ``int(time/width)``,
-      an exact integer computed once at insert, so "does this entry belong to
-      the day under the scan cursor" is an int comparison — immune to the
-      float-boundary rounding that plagues naive calendar implementations
-      (an event landing a ULP across a bucket boundary would otherwise pop a
-      whole year late, i.e. out of order).
-
-    The scan cursor only advances on :meth:`pop` (which always removes the
-    global minimum, so no later insert can land behind it — the engine never
-    schedules into the past); :meth:`peek` scans with a local cursor and
-    leaves no state behind.  If a whole year passes without a hit the queue
-    is sparse relative to its width and the pop falls back to a direct
-    minimum search, then re-anchors the cursor there.
-
-    Bucket count grows ×8 when occupancy exceeds two entries per bucket
-    (capped — beyond the cap buckets simply deepen) and shrinks ÷4 as the
-    population drains; each resize re-estimates the bucket width from the
-    live span so a day holds ~1 event on average.  Skewed timestamp
-    distributions degrade gracefully to sorted-bucket inserts rather than
-    breaking ordering.
-
-    A resize must anchor the rebuilt cursor *behind every push that is still
-    legal*, not at the pending minimum: the pending minimum can sit far ahead
-    of the engine clock (e.g. a callback burst of far-future events), and a
-    later push in between would land behind a min-anchored cursor and pop out
-    of order.  The queue therefore tracks the time of the last popped entry —
-    the engine never schedules below it — and anchors at
-    ``min(last_popped, pending_min)``.  The conservative anchor costs at most
-    one sparse-fallback scan before the next pop re-anchors tightly.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_mask",
-        "_nbuckets",
-        "_width",
-        "_inv_width",
-        "_size",
-        "_day",
-        "_last_time",
-    )
-
-    def __init__(self, start_time: float = 0.0):
-        self._nbuckets = _MIN_BUCKETS
-        self._mask = _MIN_BUCKETS - 1
-        self._width = 1.0
-        self._inv_width = 1.0
-        self._buckets: List[list] = [[] for _ in range(_MIN_BUCKETS)]
-        self._size = 0
-        self._day = int(start_time)
-        # Time of the most recently popped entry (start_time before any pop):
-        # the floor below which no future push can legally land, and therefore
-        # the lowest time a resize may move the scan cursor up to.
-        self._last_time = start_time
-
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
-    def push(self, event) -> None:
-        time = event.time
-        day = int(time * self._inv_width)
-        # insort degenerates to an append (after O(log depth) C compares)
-        # when the entry lands at the bucket's tail, and the entry tuple
-        # reuses the event's own attribute objects — no per-push allocations
-        # beyond the tuple itself.
-        insort(
-            self._buckets[day & self._mask],
-            (time, event.priority, event.seq, day, event),
-        )
-        size = self._size = self._size + 1
-        if size > 2 * self._nbuckets and self._nbuckets < _MAX_BUCKETS:
-            self._resize(min(self._nbuckets * 8, _MAX_BUCKETS))
-
-    def push_many(self, events) -> None:
-        batch = list(events)
-        if len(batch) <= 8:
-            for event in batch:
-                self.push(event)
-            return
-        # Bulk path: append raw entries (skipping per-event insort and the
-        # incremental grow checks), then retune the whole table once.  The
-        # rebuild re-estimates the bucket width over old + new entries
-        # together and restores per-bucket sorted order, so a start-up burst
-        # of N events costs one O(n) pass instead of N insorts into buckets
-        # sized for the pre-burst population.
-        inv = self._inv_width
-        mask = self._mask
-        buckets = self._buckets
-        for event in batch:
-            time = event.time
-            day = int(time * inv)
-            buckets[day & mask].append((time, event.priority, event.seq, day, event))
-        self._size += len(batch)
-        target = self._nbuckets
-        while self._size > 2 * target and target < _MAX_BUCKETS:
-            target = min(target * 8, _MAX_BUCKETS)
-        self._resize(target)
-
-    def pop(self):
-        size = self._size
-        if size == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        day = self._day
-        end = day + self._nbuckets
-        while day < end:
-            bucket = buckets[day & mask]
-            if bucket and bucket[0][3] <= day:
-                self._day = day
-                break
-            day += 1
-        else:
-            # A full year without a hit: the queue is sparse — find the
-            # global minimum directly and re-anchor the cursor on its day.
-            best = None
-            for candidate in buckets:
-                if candidate and (best is None or candidate[0] < best):
-                    best = candidate[0]
-            self._day = best[3]
-            bucket = buckets[best[3] & mask]
-        self._size = size = size - 1
-        entry = bucket.pop(0)
-        self._last_time = entry[0]
-        event = entry[4]
-        event._queued = False
-        if size < self._nbuckets // 4 and self._nbuckets > _MIN_BUCKETS:
-            self._resize(max(self._nbuckets // 4, _MIN_BUCKETS))
-        return event
-
-    def peek(self):
-        while True:
-            entry = self._peek_entry()
-            if entry is None:
-                return None
-            event = entry[4]
-            if not event.cancelled:
-                return event
-            # Lingering cancelled entry (discard was declined — can only
-            # happen through direct backend misuse): drop it and rescan.
-            self._remove_entry(entry)
-
-    def _peek_entry(self):
-        if self._size == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        day = self._day
-        end = day + self._nbuckets
-        while day < end:
-            bucket = buckets[day & mask]
-            if bucket and bucket[0][3] <= day:
-                return bucket[0]
-            day += 1
-        best = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best
-
-    def discard(self, event) -> bool:
-        """Delete a cancelled event from its bucket (O(bucket depth)).
-
-        This is the structural advantage over the heap: churn-heavy runs
-        (mass cancellations of negotiation timeouts and crash-killed
-        completions) never accumulate dead entries.  One bisect locates the
-        entry (the key triple is unique by ``seq``), one ``del`` removes it.
-        """
-        time = event.time
-        bucket = self._buckets[int(time * self._inv_width) & self._mask]
-        index = bisect_left(bucket, (time, event.priority, event.seq))
-        if index < len(bucket):
-            entry = bucket[index]
-            if entry[2] == event.seq and entry[0] == time:
-                del bucket[index]
-                self._size -= 1
-                event._queued = False
-                return True
-        return False
-
-    def compact(self) -> int:
-        removed = 0
-        for bucket in self._buckets:
-            keep = [entry for entry in bucket if not entry[4].cancelled]
-            dropped = len(bucket) - len(keep)
-            if dropped:
-                for entry in bucket:
-                    if entry[4].cancelled:
-                        entry[4]._queued = False
-                bucket[:] = keep
-                removed += dropped
-        self._size -= removed
-        return removed
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _remove_entry(self, entry) -> None:
-        bucket = self._buckets[entry[3] & self._mask]
-        index = bisect_left(bucket, entry[:3])
-        # The probe prefix sorts immediately before its own full entry.
-        if bucket[index] is not entry:  # pragma: no cover - defensive
-            index = bucket.index(entry)
-        del bucket[index]
-        self._size -= 1
-        entry[4]._queued = False
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        lo: Optional[float] = None
-        hi: Optional[float] = None
-        for entry in entries:
-            time = entry[0]
-            if lo is None or time < lo:
-                lo = time
-            if hi is None or time > hi:
-                hi = time
-        if lo is None or hi is None or hi <= lo:
-            width = self._width
-        else:
-            # Aim at ~1 event per day over the live span (the factor keeps a
-            # little slack so steady-state inserts mostly append).
-            width = max((hi - lo) / len(entries) * 2.0, 1e-9)
-        self._nbuckets = nbuckets
-        self._mask = mask = nbuckets - 1
-        self._width = width
-        self._inv_width = inv = 1.0 / width
-        self._buckets = buckets = [[] for _ in range(nbuckets)]
-        for old in entries:
-            day = int(old[0] * inv)
-            buckets[day & mask].append((old[0], old[1], old[2], day, old[4]))
-        for bucket in buckets:
-            if len(bucket) > 1:
-                bucket.sort()
-        # Anchor the cursor behind every still-legal push, not at the pending
-        # minimum: pending entries can sit far ahead of the engine clock, and
-        # a later push in [last_popped, lo) must not land behind the cursor.
-        anchor = self._last_time if lo is None else min(self._last_time, lo)
-        self._day = int(anchor * inv)
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (
-            f"CalendarQueue(entries={self._size}, buckets={self._nbuckets}, "
-            f"width={self._width:.3g})"
-        )
+        return f"HeapQueue(entries={len(self)})"

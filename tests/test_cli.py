@@ -47,17 +47,6 @@ class TestCommands:
         assert "OFT %" in out
 
 
-class TestQueueBackendOption:
-    def test_run_accepts_calendar_queue(self, capsys):
-        assert main(["run", "--thin", "20", "--queue", "calendar"]) == 0
-        out = capsys.readouterr().out
-        assert "engine=calendar" in out
-
-    def test_unknown_queue_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--queue", "splay"])
-
-
 class TestProfileCommand:
     def test_profile_prints_hotspot_table(self, capsys):
         assert main(["profile", "--thin", "20", "--top", "5"]) == 0

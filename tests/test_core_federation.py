@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.core import Federation, FederationConfig, SharingMode, run_federation
-from repro.sim import RandomStreams
+from repro.core import Federation, FederationConfig, SharingMode, UserPopulation, run_federation
+from repro.faults.plan import FaultPlan
+from repro.scenario import result_fingerprint
+from repro.sim import RandomStreams, Simulator
 from repro.workload import build_federation_specs, build_workload
 from repro.workload.archive import ARCHIVE_RESOURCES
 from repro.workload.job import JobStatus, QoSStrategy
@@ -57,6 +61,83 @@ class TestConstruction:
         assert federation.bank is None
         for jobs in federation.workload.values():
             assert all(job.strategy is QoSStrategy.NONE for job in jobs)
+
+
+class _UpFrontPopulation(UserPopulation):
+    """Test oracle: every arrival scheduled at start in one batch, one
+    event per job, as a population without streaming would."""
+
+    def start(self):
+        self.sim.schedule_at_many(
+            (job.submit_time, self._submit, (index,))
+            for index, job in enumerate(self._jobs)
+        )
+
+    def _schedule(self, index):
+        pass  # everything is already scheduled
+
+
+class TestStreamingArrivals:
+    def test_pending_after_start_is_one_arrival_per_population(self):
+        specs, workload = small_setup()
+        empty = specs[1].name
+        workload[empty] = []
+        plan = FaultPlan().crash(specs[0].name, at=3600.0, duration=1800.0)
+        plan = plan.load_spike(specs[2].name, at=7200.0, duration=600.0)
+        federation = Federation(specs, workload, FederationConfig(mode=SharingMode.ECONOMY))
+        federation.install_faults(plan)
+        assert sum(len(jobs) for jobs in workload.values()) > 100
+        federation.start()
+        nonempty = sum(1 for jobs in workload.values() if jobs)
+        assert nonempty == len(specs) - 1
+        assert federation.sim.pending == nonempty + len(plan.scheduled())
+
+    def test_tied_arrivals_fire_as_if_scheduled_up_front(self, monkeypatch):
+        """Arrivals tied within and across populations, and a fault at the
+        same instant, fire in the order of the schedule-everything-at-start
+        oracle: same event sequence, same submissions, same result."""
+        specs, workload = small_setup(n_resources=3)
+        tie = 4 * 3600.0
+        for jobs in workload.values():
+            for job in jobs[::6]:
+                job.submit_time = tie
+            for job in jobs[1::6]:
+                job.submit_time = 2 * tie
+        plan = FaultPlan().crash(specs[1].name, at=tie, duration=1800.0)
+
+        def observe(population_class):
+            trace, submitted = [], []
+            original_send = UserPopulation.send
+
+            def send(population, target, etype, payload=None, **kwargs):
+                submitted.append((population.sim.now, population.name, payload.job_id))
+                return original_send(population, target, etype, payload=payload, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    "repro.core.federation.Simulator",
+                    lambda: Simulator(trace=lambda t, label: trace.append((t, label))),
+                )
+                patch.setattr("repro.core.federation.UserPopulation", population_class)
+                patch.setattr(UserPopulation, "send", send)
+                federation = Federation(
+                    specs,
+                    copy.deepcopy(workload),  # each run mutates its jobs
+                    FederationConfig(mode=SharingMode.ECONOMY, seed=5),
+                )
+                federation.install_faults(plan)
+                result = federation.run()
+            return trace, submitted, result_fingerprint(result)
+
+        streamed = observe(UserPopulation)
+        oracle = observe(_UpFrontPopulation)
+        trace, submitted, _ = streamed
+        ties = [t for t, _, _ in submitted if t == tie]
+        assert len(ties) > len(workload), "expected tied arrivals in every population"
+        assert len({name for t, name, _ in submitted if t == tie}) == len(workload)
+        at_tie = [label for t, label in trace if t == tie]
+        assert at_tie.index("FaultInjector._apply") < at_tie.index("UserPopulation._submit")
+        assert streamed == oracle
 
 
 class TestRunInvariants:

@@ -212,15 +212,14 @@ class TestMergeOrderOracle:
         ]
         ordered = sort_injections(messages)
         expected = [(m.origin_shard, m.origin_seq) for m in ordered]
-        for backend in ("heap", "calendar"):
-            sim = Simulator(queue=backend)
-            fired = []
-            sim.schedule_at_many(
-                (m.deliver_time, fired.append, ((m.origin_shard, m.origin_seq),))
-                for m in ordered
-            )
-            sim.run()
-            assert fired == expected, f"{backend} replayed a different merge order"
+        sim = Simulator()
+        fired = []
+        sim.schedule_at_many(
+            (m.deliver_time, fired.append, ((m.origin_shard, m.origin_seq),))
+            for m in ordered
+        )
+        sim.run()
+        assert fired == expected
 
 
 class TestParallelStats:

@@ -2,15 +2,15 @@
 
 The oracle: an interrupted-then-resumed run must produce the *same*
 fingerprint as an uninterrupted one — pinned here against the golden
-digests of all five experiment shapes, under both event-queue backends
-(``test_golden_fingerprints`` pins the uninterrupted side; backend parity
-means one digest per shape).  The guards: resuming against a different
-scenario hash, snapshot format version or queue backend must fail fast
-with an actionable message, before any payload unpickling.
+digests of all five experiment shapes (``test_golden_fingerprints`` pins
+the uninterrupted side).  The guards: resuming against a different scenario
+hash or snapshot format version must fail fast with an actionable message,
+before any payload unpickling.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -54,11 +54,10 @@ def _interrupt_after_first_chunk():
 
 
 class TestResumeOracle:
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_interrupted_resume_matches_golden(self, name, engine, tmp_path):
+    def test_interrupted_resume_matches_golden(self, name, tmp_path):
         """Interrupt after the first checkpoint, resume, compare digests."""
-        scenario = GOLDEN_SCENARIOS[name].replace(engine=engine)
+        scenario = GOLDEN_SCENARIOS[name]
         with pytest.raises(CancelledRun):
             run_scenario(
                 scenario,
@@ -72,7 +71,7 @@ class TestResumeOracle:
         )
         assert resumed_scenario == scenario
         assert result_fingerprint(result) == GOLDEN_FINGERPRINTS[name], (
-            f"{name} under {engine}: resumed fingerprint drifted from the "
+            f"{name}: resumed fingerprint drifted from the "
             "uninterrupted golden digest — checkpoint/resume is not "
             "byte-identical"
         )
@@ -143,15 +142,6 @@ class TestMismatchGuards:
         assert other.scenario_hash()[:12] in message
         assert "seed=99" in message  # the requested side is described
 
-    def test_queue_backend_mismatch_fails_fast(self, tmp_path):
-        _write_fast_snapshot(tmp_path)
-        with pytest.raises(SnapshotMismatchError) as excinfo:
-            resume_run(tmp_path, expected_engine="calendar")
-        message = str(excinfo.value)
-        assert "queue backend mismatch" in message
-        assert "'heap'" in message and "'calendar'" in message
-        assert "--queue heap" in message  # actionable fix
-
     def test_format_version_mismatch_fails_fast(self, tmp_path):
         path = _write_fast_snapshot(tmp_path)
         header = read_header(path)
@@ -188,6 +178,30 @@ class TestMismatchGuards:
         with pytest.raises(SnapshotMismatchError):
             load_snapshot(path)
 
+    def test_version_1_header_is_refused_by_version(self, tmp_path):
+        """A version-1 header still carries the since-removed ``engine``
+        field; it must be refused for its version, not reported as a corrupt
+        header because of the unknown field."""
+        path = _write_fast_snapshot(tmp_path)
+        raw = open(path, "rb").read()
+        magic = b"gridfed-snapshot\n"
+        length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
+        header_start = len(magic) + 4
+        fields = json.loads(raw[header_start : header_start + length])
+        fields.update(format_version=1, engine="heap")
+        old = json.dumps(fields, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(magic)
+            handle.write(len(old).to_bytes(4, "big"))
+            handle.write(old)
+            handle.write(raw[header_start + length :])
+        for read in (read_header, load_snapshot):
+            with pytest.raises(SnapshotMismatchError) as excinfo:
+                read(path)
+            message = str(excinfo.value)
+            assert "format version 1" in message
+            assert f"reads version {SNAPSHOT_FORMAT_VERSION}" in message
+
     def test_verify_runs_before_unpickle(self, tmp_path):
         """A mismatched snapshot with a *corrupt* payload still raises the
         mismatch error: the guard never touches the pickle."""
@@ -199,7 +213,7 @@ class TestMismatchGuards:
             handle.write(raw[: len(magic) + 4 + length])
             handle.write(b"this is not a pickle")
         with pytest.raises(SnapshotMismatchError):
-            load_snapshot(path, expected_engine="calendar")
+            load_snapshot(path, expected_scenario=_FAST.replace(seed=99))
 
 
 class TestSnapshotFormat:
@@ -239,7 +253,6 @@ class TestSnapshotFormat:
         header = read_header(path)
         assert header.format_version == SNAPSHOT_FORMAT_VERSION
         assert header.scenario_hash == _FAST.scenario_hash()
-        assert header.engine == "heap"
         assert header.pending_events > 0
         assert header.jobs_total > 0
         assert 0.0 < header.progress < 1.0

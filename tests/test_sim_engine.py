@@ -87,6 +87,50 @@ class TestScheduling:
         assert sim.now == pytest.approx(5.0)
 
 
+class TestReservedSequenceNumbers:
+    def test_reserved_block_skips_the_counter(self):
+        sim = Simulator()
+        before = sim.schedule(1.0, lambda: None).seq
+        first = sim.reserve_seqs(3)
+        after = sim.schedule(1.0, lambda: None).seq
+        assert (first, after) == (before + 1, before + 4)
+        assert sim.reserve_seqs(0) == after + 1
+        assert sim.schedule(1.0, lambda: None).seq == after + 1
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().reserve_seqs(-1)
+
+    def test_reserved_events_fire_where_up_front_scheduling_puts_them(self):
+        """Streaming a reserved block one event at a time fires in the order
+        of scheduling the whole block at once, ties with later events too."""
+
+        def transcript(streamed: bool):
+            sim = Simulator()
+            fired = []
+            times = [1.0, 2.0, 2.0, 3.0]
+            if streamed:
+                first = sim.reserve_seqs(len(times))
+
+                def arrive(i):
+                    if i + 1 < len(times):
+                        sim.schedule_at(times[i + 1], arrive, i + 1, seq=first + i + 1)
+                    fired.append(("arrival", i))
+
+                sim.schedule_at(times[0], arrive, 0, seq=first)
+            else:
+                for i, time in enumerate(times):
+                    sim.schedule_at(time, fired.append, ("arrival", i))
+            # Scheduled after the block, at instants it also uses.
+            sim.schedule_at(2.0, fired.append, ("other", 2.0))
+            sim.schedule_at(3.0, fired.append, ("other", 3.0))
+            sim.run()
+            return fired
+
+        assert transcript(streamed=True) == transcript(streamed=False)
+        assert transcript(streamed=True)[2:4] == [("arrival", 2), ("other", 2.0)]
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()

@@ -1,15 +1,15 @@
-"""Unit tests for the pluggable event-queue backends.
+"""Unit tests for the heap event queue and the engine guarantees on top of it.
 
 The delivery contract — pops in strictly increasing ``(time, priority, seq)``
-order, no matter the backend — is pinned three ways: direct unit tests per
-backend, the backend-parametrized suite in ``test_delivery_order.py``, and
-the hypothesis oracle here that replays random schedule/cancel/run
-interleavings through every backend and requires identical fire sequences.
+order — is pinned three ways: direct unit tests of :class:`HeapQueue`, the
+suite in ``test_delivery_order.py``, and the hypothesis oracle here that
+replays random schedule/cancel/run interleavings through the engine and
+requires the fire sequence of a sorted-list reference model.
 
-The engine-level guarantees that ride on the backends are pinned too:
-bounded queue length under cancellation churn (heap compaction / calendar
-true deletion) and the pooled-handle rules (a retained handle is never
-recycled out from under its holder).
+The engine-level guarantees that ride on the queue are pinned too: bounded
+queue length under cancellation churn (heap compaction) and the
+pooled-handle rules (a retained handle is never recycled out from under its
+holder).
 """
 
 from __future__ import annotations
@@ -20,67 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
-from repro.sim.queues import (
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    available_queues,
-    create_queue,
-    register_queue,
-)
-
-BACKENDS = available_queues()
+from repro.sim.queues import HeapQueue
 
 
 def make_event(time, seq, priority=0):
     return ScheduledEvent(float(time), priority, seq, lambda: None)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert "heap" in BACKENDS
-        assert "calendar" in BACKENDS
-
-    def test_create_queue_by_name(self):
-        assert isinstance(create_queue("heap"), HeapQueue)
-        assert isinstance(create_queue("calendar"), CalendarQueue)
-
-    def test_create_queue_passes_instances_through(self):
-        queue = CalendarQueue()
-        assert create_queue(queue) is queue
-
-    def test_default_backend_is_heap(self):
-        assert isinstance(create_queue(None), HeapQueue)
-        assert Simulator().queue_name == "heap"
-
-    def test_unknown_backend_rejected_with_known_names(self):
-        with pytest.raises(ValueError, match="heap"):
-            create_queue("splay")
-        with pytest.raises(SimulationError, match="calendar"):
-            Simulator(queue="splay")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_queue("heap")(HeapQueue)
-
-    def test_custom_backend_registers_and_resolves(self):
-        @register_queue("test-heap-clone")
-        class CloneQueue(HeapQueue):
-            pass
-
-        try:
-            sim = Simulator(queue="test-heap-clone")
-            assert sim.queue_name == "test-heap-clone"
-        finally:
-            from repro.sim.queues import QUEUE_REGISTRY
-
-            del QUEUE_REGISTRY["test-heap-clone"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBackendContract:
-    def test_pops_in_key_order(self, backend):
-        queue = create_queue(backend)
+class TestHeapQueueContract:
+    def test_pops_in_key_order(self):
+        queue = HeapQueue()
         events = [
             make_event(5.0, 0),
             make_event(1.0, 1),
@@ -98,30 +47,30 @@ class TestBackendContract:
             popped.append(event.seq)
         assert popped == [1, 3, 2, 0, 4]
 
-    def test_len_counts_raw_entries(self, backend):
-        queue = create_queue(backend)
+    def test_len_counts_raw_entries(self):
+        queue = HeapQueue()
         for i in range(10):
             queue.push(make_event(float(i), i))
         assert len(queue) == 10
 
-    def test_pop_clears_queued_flag(self, backend):
-        queue = create_queue(backend)
+    def test_pop_clears_queued_flag(self):
+        queue = HeapQueue()
         event = make_event(1.0, 0)
         queue.push(event)
         assert event._queued
         assert queue.pop() is event
         assert not event._queued
 
-    def test_peek_returns_next_live_without_removing(self, backend):
-        queue = create_queue(backend)
+    def test_peek_returns_next_live_without_removing(self):
+        queue = HeapQueue()
         first = make_event(1.0, 0)
         queue.push(make_event(2.0, 1))
         queue.push(first)
         assert queue.peek() is first
         assert queue.pop() is first  # peek did not consume it
 
-    def test_peek_skips_cancelled(self, backend):
-        queue = create_queue(backend)
+    def test_peek_skips_cancelled(self):
+        queue = HeapQueue()
         dead = make_event(1.0, 0)
         live = make_event(2.0, 1)
         queue.push(dead)
@@ -129,23 +78,20 @@ class TestBackendContract:
         dead.cancelled = True
         assert queue.peek() is live
 
-    def test_compact_drops_cancelled(self, backend):
-        queue = create_queue(backend)
+    def test_compact_drops_cancelled(self):
+        queue = HeapQueue()
         events = [make_event(float(i), i) for i in range(20)]
         for event in events:
             queue.push(event)
         for event in events[::2]:
             event.cancelled = True
-        removed = sum(1 for event in events[::2] if not queue.discard(event))
-        # Whatever discard declined, compact must finish off.
-        queue.compact()
+        assert queue.compact() == 10
         assert len(queue) == 10
         assert [queue.pop().seq for _ in range(10)] == [e.seq for e in events[1::2]]
-        del removed
 
-    def test_same_time_priority_pops_in_seq_order_after_churn(self, backend):
+    def test_same_time_priority_pops_in_seq_order_after_churn(self):
         rng = np.random.default_rng(1)
-        queue = create_queue(backend)
+        queue = HeapQueue()
         seq = 0
         batch = []
         for _ in range(100):
@@ -158,7 +104,6 @@ class TestBackendContract:
             queue.push(noise)
             if rng.random() < 0.6:
                 noise.cancelled = True
-                queue.discard(noise)
         popped = []
         while True:
             event = queue.pop()
@@ -169,127 +114,14 @@ class TestBackendContract:
         assert popped == [e.seq for e in batch]
 
 
-class TestCalendarSpecifics:
-    def test_discard_physically_removes(self):
-        queue = CalendarQueue()
-        events = [make_event(float(i) * 0.5, i) for i in range(100)]
-        for event in events:
-            queue.push(event)
-        victim = events[37]
-        victim.cancelled = True
-        assert queue.discard(victim) is True
-        assert len(queue) == 99
-        assert not victim._queued
-
-    def test_discard_unknown_event_declines(self):
-        queue = CalendarQueue()
-        queue.push(make_event(1.0, 0))
-        stranger = make_event(1.0, 99)
-        assert queue.discard(stranger) is False
-        assert len(queue) == 1
-
-    def test_heap_discard_declines(self):
-        queue = HeapQueue()
-        event = make_event(1.0, 0)
-        queue.push(event)
-        event.cancelled = True
-        assert queue.discard(event) is False
-        assert len(queue) == 1  # the corpse lingers until popped/compacted
-
-    def test_resize_preserves_order_across_growth_and_shrink(self):
-        rng = np.random.default_rng(7)
-        queue = CalendarQueue()
-        times = sorted(float(t) for t in rng.uniform(0, 1e6, size=5000))
-        events = [make_event(t, i) for i, t in enumerate(rng.permutation(times))]
-        for event in events:
-            queue.push(event)
-        popped_times = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped_times.append(event.time)
-        assert popped_times == times
-
-    def test_sparse_population_still_pops_in_order(self):
-        # Events far apart relative to the bucket width force the year-scan
-        # fallback paths.
-        queue = CalendarQueue()
-        times = [0.0, 1e4, 1e8, 1e2, 1e6]
-        for i, t in enumerate(times):
-            queue.push(make_event(t, i))
-        assert [queue.pop().time for _ in range(5)] == sorted(times)
-
-    def test_identical_timestamps_degrade_gracefully(self):
-        queue = CalendarQueue()
-        for i in range(500):
-            queue.push(make_event(42.0, i))
-        assert [queue.pop().seq for _ in range(500)] == list(range(500))
-
-
-class TestResizeCursorAnchoring:
-    """Regression: a resize must never move the scan cursor ahead of the
-    engine clock.
-
-    Re-anchoring at the pending *minimum* is wrong — the pending set can sit
-    far ahead of ``now`` (a callback burst of far-future events), and a later
-    legal push in ``[now, pending_min)`` would land behind the cursor and pop
-    out of order, silently rewinding simulation time.  Both resize paths are
-    pinned: the push-path grow and the pop-path shrink.
-    """
-
-    def test_grow_resize_then_near_future_push_pops_in_order(self):
-        # A callback at t=5 bursts 40 far-future events (crossing the grow
-        # threshold of 2x the initial 16 buckets, so the resize fires inside
-        # the burst) and then schedules now+1.  Pre-fix the resize anchored
-        # the cursor at the burst's day and t=6 fired after t=100..139.
-        transcripts = {}
-        for backend in BACKENDS:
-            sim = Simulator(queue=backend)
-            fired = []
-
-            def burst(sim=sim, fired=fired):
-                for i in range(40):
-                    sim.schedule(95.0 + float(i), fired.append, 100.0 + i)
-                sim.schedule(1.0, fired.append, 6.0)
-
-            sim.schedule(5.0, burst)
-            sim.run()
-            assert fired == sorted(fired), f"{backend} delivered out of order"
-            transcripts[backend] = fired
-        assert all(t == transcripts["heap"] for t in transcripts.values())
-
-    def test_shrink_resize_then_near_future_push_pops_in_order(self):
-        # 33 pushes grow the calendar to 128 buckets; popping the second
-        # near-time event drops the population below a quarter of that and
-        # triggers the shrink resize while only far-future events remain.
-        # That event's callback then schedules now+1, which must still fire
-        # before the far block.
-        transcripts = {}
-        for backend in BACKENDS:
-            sim = Simulator(queue=backend)
-            fired = []
-            for i in range(31):
-                sim.schedule(1000.0 + i, fired.append, 1000.0 + i)
-            sim.schedule(1.0, fired.append, 1.0)
-            sim.schedule(
-                2.0, lambda sim=sim, fired=fired: sim.schedule(1.0, fired.append, 3.0)
-            )
-            sim.run()
-            assert fired == sorted(fired), f"{backend} delivered out of order"
-            transcripts[backend] = fired
-        assert all(t == transcripts["heap"] for t in transcripts.values())
-
-
 class TestBackendMisorderGuard:
-    """The engine must fail loudly — not silently rewind its clock — when a
-    backend violates the delivery contract."""
+    """The engine must fail loudly — not silently rewind its clock — when its
+    queue violates the delivery contract."""
 
-    class _LifoQueue(EventQueue):
-        """A deliberately broken backend: pops in push order, newest first."""
+    class _LifoQueue:
+        """A deliberately broken queue: pops in push order, newest first."""
 
-        def __init__(self, start_time: float = 0.0):
-            del start_time
+        def __init__(self):
             self._entries = []
 
         def push(self, event):
@@ -308,18 +140,23 @@ class TestBackendMisorderGuard:
         def __len__(self):
             return len(self._entries)
 
+    def _broken_sim(self):
+        sim = Simulator()
+        sim._queue = self._LifoQueue()
+        return sim
+
     def test_run_raises_on_out_of_order_delivery(self):
-        sim = Simulator(queue=self._LifoQueue())
+        sim = self._broken_sim()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         with pytest.raises(SimulationError, match="out of order"):
             sim.run()
 
     def test_step_raises_on_out_of_order_delivery(self):
-        sim = Simulator(queue=self._LifoQueue())
+        sim = self._broken_sim()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.step()  # fires t=2.0 (broken backend pops newest first)
+        assert sim.step()  # fires t=2.0 (the broken queue pops newest first)
         with pytest.raises(SimulationError, match="out of order"):
             sim.step()
 
@@ -328,7 +165,7 @@ class TestEngineCompaction:
     """Satellite regression: cancelled events must not pile up in the queue."""
 
     def test_heap_queue_length_bounded_under_mass_cancellation(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         live = [sim.schedule(1000.0, lambda: None) for _ in range(100)]
         # Churn: far timeouts scheduled and cancelled over and over — the
         # pre-compaction engine kept every corpse until it surfaced.
@@ -344,14 +181,6 @@ class TestEngineCompaction:
         assert worst <= bound, f"queue grew to {worst} (> bound {bound})"
         assert sim.pending == 100
         del live
-
-    def test_calendar_queue_never_accumulates_corpses(self):
-        sim = Simulator(queue="calendar")
-        for _ in range(100):
-            sim.schedule(1000.0, lambda: None)
-        for _ in range(10_000):
-            sim.cancel(sim.schedule(500.0, lambda: None))
-            assert sim.queue_size == 100  # true deletion, always tight
 
     def test_bounded_queue_under_churn_heavy_fault_plan(self, monkeypatch):
         """The engine guarantee holds inside a real churn-heavy faulted run:
@@ -396,20 +225,19 @@ class TestEngineCompaction:
     def test_compaction_survives_to_correct_execution(self):
         """Heavy cancellation with interleaved firing still fires the right
         events in the right order."""
-        for backend in BACKENDS:
-            rng = np.random.default_rng(3)
-            sim = Simulator(queue=backend)
-            fired = []
-            expected = []
-            for i in range(2000):
-                handle = sim.schedule(float(rng.uniform(0, 100)), fired.append, i)
-                if rng.random() < 0.8:
-                    sim.cancel(handle)
-                else:
-                    expected.append((handle.time, handle.seq, i))
-            sim.run()
-            assert fired == [i for _, _, i in sorted(expected)]
-            assert sim.queue_size == 0
+        rng = np.random.default_rng(3)
+        sim = Simulator()
+        fired = []
+        expected = []
+        for i in range(2000):
+            handle = sim.schedule(float(rng.uniform(0, 100)), fired.append, i)
+            if rng.random() < 0.8:
+                sim.cancel(handle)
+            else:
+                expected.append((handle.time, handle.seq, i))
+        sim.run()
+        assert fired == [i for _, _, i in sorted(expected)]
+        assert sim.queue_size == 0
 
 
 class TestHandlePooling:
@@ -449,28 +277,15 @@ class TestHandlePooling:
         assert ref() is None, "a pooled handle kept the callback alive"
 
 
-class _Op:
-    """One step of the oracle interleaving."""
-
-    def __init__(self, kind, value):
-        self.kind = kind
-        self.value = value
-
-    def __repr__(self):  # pragma: no cover - hypothesis debugging aid
-        return f"_Op({self.kind!r}, {self.value!r})"
-
-
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=100.0)),
         st.tuples(st.just("schedule_same"), st.just(0.0)),
         # Tiny/huge delay mixture: near-now events scheduled while far-future
-        # ones dominate the pending set are what exercise the calendar's
-        # resize/cursor re-anchoring paths (see TestResizeCursorAnchoring).
+        # ones dominate the pending set.
         st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=0.5)),
         st.tuples(st.just("schedule"), st.floats(min_value=1e3, max_value=1e6)),
-        # Far-future burst crossing the calendar's grow threshold (>2x the
-        # initial 16 buckets) followed by a near-now event.
+        # Far-future burst followed by a near-now event.
         st.tuples(st.just("burst"), st.integers(min_value=33, max_value=48)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(st.just("run_for"), st.floats(min_value=0.0, max_value=30.0)),
@@ -481,28 +296,27 @@ _ops = st.lists(
 )
 
 
-def _replay(backend: str, ops) -> list:
-    """Replay an op sequence on one backend; return the fire transcript."""
-    sim = Simulator(queue=backend)
+def _delays(kind, value):
+    """The delays one schedule-type op schedules, in order."""
+    if kind == "schedule":
+        return [value]
+    if kind == "schedule_same":
+        # Same-timestamp collisions are the interesting ordering case.
+        return [5.0]
+    return [500.0 + float(i) for i in range(value)] + [0.5]
+
+
+def _replay(ops) -> list:
+    """Replay an op sequence through the engine; return the fire transcript."""
+    sim = Simulator()
     fired = []
     handles = []
     tag = 0
     for kind, value in ops:
-        if kind == "schedule":
-            handles.append(sim.schedule(value, lambda t=tag: fired.append(t)))
-            tag += 1
-        elif kind == "schedule_same":
-            # Same-timestamp collisions are the interesting ordering case.
-            handles.append(sim.schedule(5.0, lambda t=tag: fired.append(t)))
-            tag += 1
-        elif kind == "burst":
-            for i in range(value):
-                handles.append(
-                    sim.schedule(500.0 + float(i), lambda t=tag: fired.append(t))
-                )
+        if kind in ("schedule", "schedule_same", "burst"):
+            for delay in _delays(kind, value):
+                handles.append(sim.schedule(delay, lambda t=tag: fired.append(t)))
                 tag += 1
-            handles.append(sim.schedule(0.5, lambda t=tag: fired.append(t)))
-            tag += 1
         elif kind == "cancel":
             if handles:
                 handle = handles[value % len(handles)]
@@ -517,19 +331,60 @@ def _replay(backend: str, ops) -> list:
     return fired
 
 
+def _reference_replay(ops) -> list:
+    """The transcript :func:`_replay` must produce, from a sorted-list model:
+    pending entries are ``[time, seq, tag]`` and always fire minimum-first."""
+    now = 0.0
+    pending = []
+    handles = []  # per tag: [entry, cancelled]
+    fired = []
+    processed = 0
+
+    def fire_next():
+        nonlocal now, processed
+        entry = min(pending)
+        pending.remove(entry)
+        now = entry[0]
+        processed += 1
+        fired.append(entry[2])
+
+    for kind, value in ops:
+        if kind in ("schedule", "schedule_same", "burst"):
+            for delay in _delays(kind, value):
+                tag = len(handles)
+                entry = [now + delay, tag, tag]
+                pending.append(entry)
+                handles.append([entry, False])
+        elif kind == "cancel":
+            if handles:
+                handle = handles[value % len(handles)]
+                if not handle[1]:
+                    handle[1] = True
+                    if handle[0] in pending:
+                        pending.remove(handle[0])
+        elif kind == "run_for":
+            until = now + value
+            while pending and min(pending)[0] <= until:
+                fire_next()
+            now = until
+        elif kind == "step":
+            if pending:
+                fire_next()
+    while pending:
+        fire_next()
+    fired.append(("now", round(now, 9), processed, len(pending)))
+    return fired
+
+
 class TestOrderingOracle:
-    """Hypothesis oracle: every backend replays any interleaving of
+    """Hypothesis oracle: the engine replays any interleaving of
     schedule / schedule-at-equal-time / cancel / partial-run / step into the
-    exact fire transcript the heap produces."""
+    exact fire transcript of a sorted-list reference model."""
 
     @given(ops=_ops)
     @settings(max_examples=60, deadline=None)
-    def test_backends_agree_with_heap_oracle(self, ops):
-        reference = _replay("heap", ops)
-        for backend in BACKENDS:
-            if backend == "heap":
-                continue
-            assert _replay(backend, ops) == reference
+    def test_engine_agrees_with_reference_model(self, ops):
+        assert _replay(ops) == _reference_replay(ops)
 
 
 #: Random (time, priority) schedules for the batch-kernel parity oracle.
@@ -550,10 +405,9 @@ _batch_entries = st.lists(
 class TestBatchKernelParity:
     """Hypothesis oracle for the batch entry points: ``push_many`` and
     ``pop_window`` must be observationally identical to the looped
-    ``push`` / peek-and-``pop`` forms on every backend — including under
-    cancellation and with a prefilled standing population (which steers the
-    heap between its sift and heapify paths and the calendar between its
-    per-event and bulk-rebuild paths)."""
+    ``push`` / peek-and-``pop`` forms — including under cancellation and
+    with a prefilled standing population (which steers the heap between its
+    sift and heapify paths)."""
 
     @staticmethod
     def _looped_pop_window(queue, horizon):
@@ -583,52 +437,43 @@ class TestBatchKernelParity:
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_forms_match_looped_forms(self, prefill, batch, horizon):
-        for backend in BACKENDS:
-            looped = create_queue(backend)
-            batched = create_queue(backend)
-            seq = 0
-            for time, priority in prefill:
-                looped.push(make_event(time, seq, priority))
-                batched.push(make_event(time, seq, priority))
-                seq += 1
-            loop_events = [
-                make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)
-            ]
-            batch_events = [
-                make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)
-            ]
-            for event in loop_events:
-                looped.push(event)
-            batched.push_many(batch_events)
-            # Cancel an arbitrary-but-identical subset in both queues: the
-            # window drain must skip corpses exactly like the pop loop.
-            for a, b in zip(loop_events[::3], batch_events[::3]):
-                a.cancelled = b.cancelled = True
-                looped.discard(a)
-                batched.discard(b)
-            key = lambda e: (e.time, e.priority, e.seq)
-            window_ref = [key(e) for e in self._looped_pop_window(looped, horizon)]
-            window_batch = [key(e) for e in batched.pop_window(horizon)]
-            assert window_batch == window_ref, f"{backend} pop_window diverged"
-            assert self._drain_keys(batched) == self._drain_keys(looped), (
-                f"{backend} post-window remainder diverged"
-            )
+        looped = HeapQueue()
+        batched = HeapQueue()
+        seq = 0
+        for time, priority in prefill:
+            looped.push(make_event(time, seq, priority))
+            batched.push(make_event(time, seq, priority))
+            seq += 1
+        loop_events = [make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)]
+        batch_events = [make_event(t, seq + i, p) for i, (t, p) in enumerate(batch)]
+        for event in loop_events:
+            looped.push(event)
+        batched.push_many(batch_events)
+        # Cancel an arbitrary-but-identical subset in both queues: the window
+        # drain must skip corpses exactly like the pop loop.
+        for a, b in zip(loop_events[::3], batch_events[::3]):
+            a.cancelled = b.cancelled = True
+        key = lambda e: (e.time, e.priority, e.seq)
+        window_ref = [key(e) for e in self._looped_pop_window(looped, horizon)]
+        window_batch = [key(e) for e in batched.pop_window(horizon)]
+        assert window_batch == window_ref, "pop_window diverged"
+        assert self._drain_keys(batched) == self._drain_keys(looped), (
+            "post-window remainder diverged"
+        )
 
     def test_pop_window_clears_queued_flag_and_leaves_later_events(self):
-        for backend in BACKENDS:
-            queue = create_queue(backend)
-            early = make_event(1.0, 0)
-            late = make_event(10.0, 1)
-            queue.push_many([early, late])
-            drained = queue.pop_window(5.0)
-            assert drained == [early]
-            assert not early._queued
-            assert late._queued
-            assert len(queue) == 1
+        queue = HeapQueue()
+        early = make_event(1.0, 0)
+        late = make_event(10.0, 1)
+        queue.push_many([early, late])
+        drained = queue.pop_window(5.0)
+        assert drained == [early]
+        assert not early._queued
+        assert late._queued
+        assert len(queue) == 1
 
     def test_push_many_empty_batch_is_a_noop(self):
-        for backend in BACKENDS:
-            queue = create_queue(backend)
-            queue.push(make_event(1.0, 0))
-            queue.push_many([])
-            assert len(queue) == 1
+        queue = HeapQueue()
+        queue.push(make_event(1.0, 0))
+        queue.push_many([])
+        assert len(queue) == 1
