@@ -92,6 +92,25 @@ class TestStreamingArrivals:
         assert nonempty == len(specs) - 1
         assert federation.sim.pending == nonempty + len(plan.scheduled())
 
+    def test_peak_pending_is_far_below_the_job_count(self, monkeypatch):
+        """Pending events track running jobs and messages in flight, not the
+        workload still to arrive (scheduling every arrival up front starts
+        the run with one pending event per job)."""
+        specs, workload = small_setup()
+        jobs = sum(len(jobs) for jobs in workload.values())
+        peak = [0]
+        sims = []
+
+        def make_simulator():
+            sim = Simulator(trace=lambda time, label: peak.__setitem__(0, max(peak[0], sim.pending)))
+            sims.append(sim)
+            return sim
+
+        monkeypatch.setattr("repro.core.federation.Simulator", make_simulator)
+        Federation(specs, workload, FederationConfig(mode=SharingMode.ECONOMY)).run()
+        assert sims[0].events_processed > jobs
+        assert 0 < peak[0] < jobs / 4
+
     def test_tied_arrivals_fire_as_if_scheduled_up_front(self, monkeypatch):
         """Arrivals tied within and across populations, and a fault at the
         same instant, fire in the order of the schedule-everything-at-start

@@ -126,6 +126,33 @@ class TestEntityDeliveryOrder:
         assert [ev.payload for ev in sink.received] == ["sent-first", "sent-later"]
         assert sink.received[0].time == sink.received[1].time == 10.0
 
+    def test_message_colliding_with_a_streamed_arrival(self):
+        """A message sent mid-run that lands on a later arrival's instant
+        delivers after that arrival fires (its number was reserved at start)
+        but before the arrival's own JOB_SUBMIT (numbered when it fires)."""
+        from repro.core.users import UserPopulation
+        from repro.workload.job import Job
+
+        labels = []
+        sim = Simulator(trace=lambda time, label: labels.append((time, label.split(".")[-1])))
+        registry = EntityRegistry()
+        sender = _Sender(sim, "a", registry)
+        sink = RecordingEntity(sim, "sink", registry)
+        jobs = [
+            Job(origin="sink", user_id=1, submit_time=t, num_processors=1, length_mi=1.0)
+            for t in (1.0, 10.0)
+        ]
+        UserPopulation(sim, registry, "sink", jobs).start()
+        sim.schedule(0.5, lambda: sender.send("sink", EventType.NEGOTIATE, payload="msg", delay=9.5))
+        sim.run()
+        received = [
+            event.payload if event.etype is EventType.NEGOTIATE else event.payload.job_id
+            for event in sink.received
+        ]
+        assert received == [jobs[0].job_id, "msg", jobs[1].job_id]
+        at_collision = [label for time, label in labels if time == 10.0]
+        assert at_collision == ["_submit", "_deliver", "_deliver"]
+
     def test_self_timer_stamps_seq_too(self):
         sim = Simulator()
         registry = EntityRegistry()

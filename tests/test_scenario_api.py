@@ -140,6 +140,15 @@ class TestFederationConfigValidation:
             FederationConfig(horizon=-1)
 
 
+    def test_there_is_no_engine_knob(self):
+        """The heap is the only event kernel: neither the scenario nor the
+        federation config takes an engine choice any more."""
+        with pytest.raises(TypeError, match="engine"):
+            Scenario(engine="heap")
+        with pytest.raises(TypeError, match="engine"):
+            FederationConfig(engine="heap")
+        assert not hasattr(Scenario().to_config(), "engine")
+
 class TestScenarioDerivedViews:
     def test_to_config_round_trip(self):
         scenario = Scenario(mode="federation", oft_fraction=0.7, seed=7, horizon=1000.0)

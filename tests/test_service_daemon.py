@@ -329,6 +329,27 @@ class TestDurableQueue:
         finally:
             revived.stop()
 
+    def test_recovered_record_with_removed_engine_field_fails_cleanly(self, tmp_path):
+        """A record an older build left unfinished may carry the since-removed
+        ``engine`` field: the next daemon life marks it failed, naming the
+        field, instead of crashing its worker."""
+        state = tmp_path / "state"
+        first = GridfedDaemon(state, port=0, workers=1)
+        record = first.submit(scenario_to_fields(_fast(seed=31)))
+        first._httpd.server_close()
+        record["scenario"]["engine"] = "heap"
+        first.state.save_record(record)
+
+        revived = GridfedDaemon(state, port=0, workers=1)
+        revived.start()
+        try:
+            client = DaemonClient(revived.address, timeout=10.0)
+            final = client.wait(record["id"], timeout=60.0)
+            assert final["status"] == "failed"
+            assert "unknown scenario fields: engine" in final["error"]
+        finally:
+            revived.stop()
+
     def test_shutdown_requeues_in_flight_run(self, tmp_path):
         """A clean shutdown puts the in-flight run back to 'queued' with its
         checkpoint retained, ready for the next daemon life."""

@@ -259,6 +259,38 @@ class TestSnapshotFormat:
         # The header round-trips through its JSON form.
         assert SnapshotHeader.from_json(header.to_json()) == header
 
+    def test_written_header_is_version_2_with_exactly_the_dataclass_fields(self, tmp_path):
+        path = _write_fast_snapshot(tmp_path)
+        raw = open(path, "rb").read()
+        magic = b"gridfed-snapshot\n"
+        length = int.from_bytes(raw[len(magic) : len(magic) + 4], "big")
+        fields = json.loads(raw[len(magic) + 4 : len(magic) + 4 + length])
+        assert SNAPSHOT_FORMAT_VERSION == 2
+        assert fields["format_version"] == 2
+        assert set(fields) == set(SnapshotHeader.__dataclass_fields__)
+        assert "engine" not in fields
+
+    def test_header_without_a_version_is_refused_by_version(self, tmp_path):
+        fields = json.loads(read_header(_write_fast_snapshot(tmp_path)).to_json())
+        del fields["format_version"]
+        with pytest.raises(SnapshotMismatchError, match="format version None"):
+            SnapshotHeader.from_json(json.dumps(fields))
+
+    def test_current_version_header_with_an_unknown_field_is_corrupt(self, tmp_path):
+        """Only another version may carry other fields: a version-2 header
+        with the removed ``engine`` field is corrupt, not a mismatch."""
+        fields = json.loads(read_header(_write_fast_snapshot(tmp_path)).to_json())
+        fields["engine"] = "heap"
+        with pytest.raises(SnapshotError, match="corrupt snapshot header") as excinfo:
+            SnapshotHeader.from_json(json.dumps(fields))
+        assert not isinstance(excinfo.value, SnapshotMismatchError)
+
+    @pytest.mark.parametrize("blob", ["not json", "[2, 3]", '"a string"'])
+    def test_non_object_header_is_corrupt(self, blob):
+        with pytest.raises(SnapshotError, match="corrupt snapshot header") as excinfo:
+            SnapshotHeader.from_json(blob)
+        assert not isinstance(excinfo.value, SnapshotMismatchError)
+
     def test_write_is_atomic_no_temp_left_behind(self, tmp_path):
         _write_fast_snapshot(tmp_path)
         leftovers = [

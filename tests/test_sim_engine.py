@@ -130,6 +130,112 @@ class TestReservedSequenceNumbers:
         assert transcript(streamed=True) == transcript(streamed=False)
         assert transcript(streamed=True)[2:4] == [("arrival", 2), ("other", 2.0)]
 
+    def test_priority_still_dominates_a_reserved_seq(self):
+        sim = Simulator()
+        fired = []
+        first = sim.reserve_seqs(1)
+        sim.schedule_at(4.0, fired.append, "urgent", priority=-1)
+        sim.schedule_at(4.0, fired.append, "reserved", seq=first)
+        sim.schedule_at(4.0, fired.append, "later")
+        sim.run()
+        assert fired == ["urgent", "reserved", "later"]
+
+    def test_schedule_at_many_numbers_after_the_reserved_block(self):
+        sim = Simulator()
+        first = sim.reserve_seqs(5)
+        handles = sim.schedule_at_many([(1.0, print, ()), (1.0, print, ())])
+        assert [handle.seq for handle in handles] == [first + 5, first + 6]
+
+    def test_reserved_seq_is_still_validated_as_an_event(self):
+        sim = Simulator()
+        first = sim.reserve_seqs(2)
+        sim.run(until=10.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(5.0, lambda: None, seq=first)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("inf"), lambda: None, seq=first)
+        assert sim.pending == 0
+
+    def test_reserved_event_can_be_cancelled(self):
+        sim = Simulator()
+        fired = []
+        first = sim.reserve_seqs(2)
+        handle = sim.schedule_at(3.0, fired.append, "cancelled", seq=first)
+        sim.schedule_at(3.0, fired.append, "kept", seq=first + 1)
+        sim.cancel(handle)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["kept"]
+
+    def test_reserved_numbers_are_never_handed_out_again(self):
+        sim = Simulator()
+        reserved = set()
+        handed_out = []
+        for count in (3, 0, 7, 1):
+            handed_out.append(sim.schedule(1.0, print).seq)
+            first = sim.reserve_seqs(count)
+            reserved.update(range(first, first + count))
+            handed_out.extend(h.seq for h in sim.schedule_at_many([(2.0, print, ())] * 2))
+        assert len(reserved) == 11
+        assert len(set(handed_out)) == len(handed_out)
+        assert reserved.isdisjoint(handed_out)
+
+    def test_reservation_survives_pickling(self):
+        """A snapshot taken mid-stream keeps the counter past the block, so
+        events scheduled after restore never collide with reserved numbers."""
+        import pickle
+
+        sim = Simulator()
+        first = sim.reserve_seqs(10)
+        clone = pickle.loads(pickle.dumps(sim))
+        assert clone.schedule(1.0, print).seq == sim.schedule(1.0, print).seq == first + 10
+
+    @given(
+        blocks=st.lists(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=8),
+            min_size=1,
+            max_size=4,
+        ),
+        others=st.lists(st.integers(min_value=0, max_value=6), max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_streamed_blocks_match_up_front_scheduling(self, blocks, others):
+        """Any number of streams, each reserving a block and scheduling one
+        event at a time, fire exactly as scheduling every event at start —
+        including ties with events scheduled while the streams run."""
+
+        def transcript(streamed: bool):
+            sim = Simulator()
+            fired = []
+
+            def other(tag):
+                fired.append(tag)
+
+            def arrive(b, i, first):
+                times = sorted(blocks[b])
+                if first is not None and i + 1 < len(times):
+                    sim.schedule_at(times[i + 1], arrive, b, i + 1, first, seq=first + i + 1)
+                fired.append((b, i))
+                if i == 0:
+                    for k, time in enumerate(others):
+                        if time >= sim.now:
+                            sim.schedule_at(float(time), other, ("other", b, k))
+
+            for b, block in enumerate(blocks):
+                times = sorted(block)
+                if not times:
+                    continue
+                if streamed:
+                    first = sim.reserve_seqs(len(times))
+                    sim.schedule_at(times[0], arrive, b, 0, first, seq=first)
+                else:
+                    for i, time in enumerate(times):
+                        sim.schedule_at(time, arrive, b, i, None)
+            sim.run()
+            return fired
+
+        assert transcript(streamed=True) == transcript(streamed=False)
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):

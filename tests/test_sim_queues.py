@@ -114,6 +114,204 @@ class TestHeapQueueContract:
         assert popped == [e.seq for e in batch]
 
 
+def _drain(queue):
+    """Pop everything; return the live events' ``(time, priority, seq)``."""
+    keys = []
+    while True:
+        event = queue.pop()
+        if event is None:
+            return keys
+        if not event.cancelled:
+            keys.append((event.time, event.priority, event.seq))
+
+
+class TestHeapQueueEdges:
+    def test_pop_and_peek_on_empty_queue_return_none(self):
+        queue = HeapQueue()
+        assert queue.pop() is None
+        assert queue.peek() is None
+        assert queue.pop_window(1e9) == []
+        assert queue.compact() == 0
+
+    def test_peek_on_all_cancelled_queue_empties_it(self):
+        queue = HeapQueue()
+        events = [make_event(float(i), i) for i in range(5)]
+        queue.push_many(events)
+        for event in events:
+            event.cancelled = True
+        assert queue.peek() is None
+        assert len(queue) == 0
+        assert not any(event._queued for event in events)
+
+    def test_identical_timestamps_pop_in_priority_then_seq_order(self):
+        rng = np.random.default_rng(3)
+        keys = [(7.0, int(p), seq) for seq, p in enumerate(rng.integers(-2, 3, size=500))]
+        queue = HeapQueue()
+        for index in rng.permutation(len(keys)):
+            time, priority, seq = keys[index]
+            queue.push(make_event(time, seq, priority))
+        assert _drain(queue) == sorted(keys)
+
+    def test_widely_spread_times_pop_in_order(self):
+        """Times spread over eighteen orders of magnitude (sub-nanosecond
+        offsets next to decades) still pop in key order."""
+        rng = np.random.default_rng(4)
+        times = sorted({float(t) for t in 10.0 ** rng.uniform(-9, 9, size=300)})
+        queue = HeapQueue()
+        for seq, index in enumerate(rng.permutation(len(times))):
+            queue.push(make_event(times[index], seq))
+        assert [key[0] for key in _drain(queue)] == times
+
+    def test_grow_drain_regrow_keeps_order(self):
+        """Refill and drain between very different sizes: every drain pops
+        in key order and never passes an entry still queued."""
+        rng = np.random.default_rng(5)
+        queue = HeapQueue()
+        seq = 0
+        for size in (1000, 10, 400, 3):
+            for time in rng.uniform(0, 100, size=size):
+                queue.push(make_event(float(time), seq))
+                seq += 1
+            popped = [queue.pop() for _ in range(size - 2)]
+            keys = [(event.time, event.seq) for event in popped]
+            assert keys == sorted(keys)
+            assert popped[-1].time <= queue.peek().time
+        rest = _drain(queue)
+        assert rest == sorted(rest)
+        assert len(rest) == 8
+
+    def test_small_batch_sifts_into_a_large_heap(self):
+        """Below a quarter of the heap size ``push_many`` sifts each entry,
+        leaving exactly the heap a ``push`` loop leaves."""
+        looped, batched = HeapQueue(), HeapQueue()
+        prefill = [make_event(float(100 - i), i) for i in range(40)]
+        for event in prefill:
+            looped.push(event)
+            batched.push(event)
+        batch = [make_event(float(i % 3), 40 + i) for i in range(9)]
+        for event in batch:
+            looped.push(event)
+        batched.push_many(batch)
+        assert batched._heap == looped._heap
+        assert _drain(batched) == _drain(looped)
+
+    def test_large_batch_rebuilds_and_keeps_pop_order(self):
+        looped, batched = HeapQueue(), HeapQueue()
+        looped.push(make_event(5.0, 0))
+        batched.push(make_event(5.0, 0))
+        batch = [make_event(float(i % 4), 1 + i, priority=i % 2) for i in range(50)]
+        for event in batch:
+            looped.push(event)
+        batched.push_many(batch)
+        assert len(batched) == 51
+        assert _drain(batched) == _drain(looped)
+
+    def test_compact_without_cancelled_entries_keeps_the_heap(self):
+        queue = HeapQueue()
+        queue.push_many([make_event(float(i), i) for i in range(8)])
+        heap = queue._heap
+        assert queue.compact() == 0
+        assert queue._heap is heap
+
+    def test_pushes_after_compact_keep_key_order(self):
+        queue = HeapQueue()
+        events = [make_event(float(i), i) for i in range(30)]
+        queue.push_many(events)
+        for event in events[::3]:
+            event.cancelled = True
+        assert queue.compact() == 10
+        assert not any(event._queued for event in events[::3])
+        queue.push(make_event(0.5, 30))
+        queue.push(make_event(14.0, 31, priority=-1))
+        keys = _drain(queue)
+        assert keys == sorted(keys)
+        assert (0.5, 0, 30) in keys and (14.0, -1, 31) in keys
+
+    def test_pop_window_horizon_is_inclusive(self):
+        queue = HeapQueue()
+        at = make_event(5.0, 0)
+        after = make_event(5.0 + 1e-9, 1)
+        queue.push_many([after, at])
+        assert queue.pop_window(5.0) == [at]
+        assert queue.peek() is after
+
+    def test_pop_window_of_only_cancelled_events_is_empty(self):
+        queue = HeapQueue()
+        dead = [make_event(float(i), i) for i in range(4)]
+        live = make_event(10.0, 4)
+        queue.push_many(dead + [live])
+        for event in dead:
+            event.cancelled = True
+        assert queue.pop_window(9.0) == []
+        assert len(queue) == 1
+        assert not any(event._queued for event in dead)
+
+
+#: Random queue-level operations for the HeapQueue model test.
+_queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.floats(min_value=0.0, max_value=50.0), st.integers(-1, 1)),
+        st.tuples(st.just("push"), st.just(25.0), st.just(0)),
+        st.tuples(st.just("push_many"), st.integers(min_value=0, max_value=12), st.integers(-1, 1)),
+        st.tuples(st.just("pop"), st.just(0.0), st.just(0)),
+        st.tuples(st.just("peek"), st.just(0.0), st.just(0)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000), st.just(0)),
+        st.tuples(st.just("compact"), st.just(0.0), st.just(0)),
+    ),
+    max_size=100,
+)
+
+
+class TestHeapQueueModel:
+    """Hypothesis oracle at the queue level: any interleaving of push,
+    push_many, pop, peek, cancel and compact returns the live events a
+    sorted-list model returns, and ``len`` never drops below the live
+    count."""
+
+    @given(ops=_queue_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_queue_agrees_with_sorted_list_model(self, ops):
+        queue = HeapQueue()
+        model = []  # live (time, priority, seq) keys
+        events = []
+        for kind, a, b in ops:
+            if kind == "push":
+                event = make_event(a, len(events), b)
+                events.append(event)
+                queue.push(event)
+                model.append((event.time, b, event.seq))
+            elif kind == "push_many":
+                batch = [make_event(float(i % 5), len(events) + i, b) for i in range(int(a))]
+                events.extend(batch)
+                queue.push_many(batch)
+                model.extend((e.time, b, e.seq) for e in batch)
+            elif kind == "pop":
+                while True:
+                    event = queue.pop()
+                    if event is None or not event.cancelled:
+                        break
+                expected = min(model) if model else None
+                got = (event.time, event.priority, event.seq) if event else None
+                assert got == expected
+                if expected is not None:
+                    model.remove(expected)
+            elif kind == "peek":
+                event = queue.peek()
+                got = (event.time, event.priority, event.seq) if event else None
+                assert got == (min(model) if model else None)
+            elif kind == "cancel" and events:
+                event = events[int(a) % len(events)]
+                key = (event.time, event.priority, event.seq)
+                if key in model:
+                    event.cancelled = True
+                    model.remove(key)
+            elif kind == "compact":
+                queue.compact()
+                assert len(queue) == len(model)
+            assert len(queue) >= len(model)
+        assert _drain(queue) == sorted(model)
+
+
 class TestBackendMisorderGuard:
     """The engine must fail loudly — not silently rewind its clock — when its
     queue violates the delivery contract."""
