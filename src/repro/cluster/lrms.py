@@ -20,6 +20,8 @@ work.
 from __future__ import annotations
 
 import enum
+import math
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import NodePool
@@ -27,6 +29,10 @@ from repro.cluster.profile import AvailabilityProfile
 from repro.cluster.specs import ResourceSpec, execution_time
 from repro.sim.engine import ScheduledEvent, Simulator
 from repro.workload.job import Job, JobStatus
+
+
+#: The finish time of a ``_running`` entry ``(job, finish)``.
+_finish_of = itemgetter(1)
 
 
 class SchedulingPolicy(enum.Enum):
@@ -69,9 +75,11 @@ class SpaceSharedLRMS:
         # Finish-event handles so a crash (fail_all) can cancel in-flight
         # completions; empty overhead on the no-fault path.
         self._finish_events: Dict[int, "ScheduledEvent"] = {}
-        # Completion-estimate cache: rebuilt lazily whenever the set of
-        # running/queued jobs changes (admission control may probe the same
-        # state many times between changes).
+        # Completion-estimate cache: the answer of ``_estimation_profile`` for
+        # state version ``_profile_cache_version`` (admission control may
+        # probe the same state many times between changes).  While
+        # ``_profile_kept`` is set, its profile is also the one kept across
+        # state changes and updated in place.
         self._state_version: int = 0
         #: Optional hook fired on every state change (the parallel engine
         #: sets it to maintain a dirty set instead of scanning every cluster
@@ -84,6 +92,11 @@ class SpaceSharedLRMS:
         self.jobs_submitted: int = 0
         self.jobs_completed: int = 0
         self.last_finish_time: float = 0.0
+
+    #: True while the cached FCFS profile is kept across state changes (see
+    #: :meth:`_estimation_profile`).  A class default, so that snapshots
+    #: pickled before the profile was kept resume (with one rebuild).
+    _profile_kept: bool = False
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -137,6 +150,14 @@ class SpaceSharedLRMS:
         job.mark_queued(self.spec.name)
         self.jobs_submitted += 1
         self._touch()
+        if self._profile_kept:
+            # FCFS: the new job joins behind the queue tail, and nothing
+            # already booked moves.
+            profile, tail = self._profile_cache
+            start = profile.place(
+                job.num_processors, self.runtime_of(job), max(self.sim.now, tail)
+            )
+            self._profile_cache = (profile, start)
         self._queue.append(job)
         self._dispatch()
 
@@ -246,6 +267,7 @@ class SpaceSharedLRMS:
         self._running.clear()
         killed.extend(self._queue)
         self._queue.clear()
+        self._profile_kept = False
         self._touch()
         return killed
 
@@ -281,17 +303,42 @@ class SpaceSharedLRMS:
 
         Returns the profile plus the predicted start time of the last queued
         job (the FCFS "queue tail"), which lower-bounds the start of any new
-        arrival.  The profile is cached between state changes: negotiation
+        arrival.  The answer is cached between state changes: negotiation
         traffic can probe the same LRMS many times before anything starts or
         finishes, and a probe itself never changes the state.
+
+        Under FCFS the profile is also kept across state changes, at absolute
+        times: :meth:`submit` places the new job behind the queue tail, and a
+        finish or a queued job starting at its predicted start changes
+        nothing, so a query after a change only trims what lies before now.
+        The kept profile equals a rebuild breakpoint for breakpoint.
+
+        A rebuild is the only other path.  It runs on the first query, after
+        :meth:`fail_all`, under EASY backfilling (which starts jobs out of
+        order), and while a running job is within 1 ns of its finish.  In
+        that last case the job's finish event is due: the rebuild holds the
+        job for 1 ns where the kept profile frees it at its finish, so the
+        rebuild answers the query and is not kept.
         """
-        if self._profile_cache is not None and self._profile_cache_version == self._state_version:
+        if self._profile_cache_version == self._state_version:
             return self._profile_cache
-        profile = self._running_profile()
-        # FCFS: each queued job starts no earlier than the one before it.
-        queue_tail_start = profile.place_fcfs(
-            (job.num_processors, self.runtime_of(job)) for job in self._queue
+        now = self.sim.now
+        exact = (
+            self.policy is SchedulingPolicy.FCFS
+            and min(map(_finish_of, self._running.values()), default=math.inf) - now >= 1e-9
         )
+        if exact and self._profile_kept:
+            profile, queue_tail_start = self._profile_cache
+            profile.trim(now)
+            if not self._queue:
+                queue_tail_start = now
+        else:
+            profile = self._running_profile()
+            # FCFS: each queued job starts no earlier than the one before it.
+            queue_tail_start = profile.place_fcfs(
+                (job.num_processors, self.runtime_of(job)) for job in self._queue
+            )
+        self._profile_kept = exact
         self._profile_cache = (profile, queue_tail_start)
         self._profile_cache_version = self._state_version
         return self._profile_cache
@@ -299,16 +346,17 @@ class SpaceSharedLRMS:
     def _running_profile(self) -> AvailabilityProfile:
         """Availability profile from now on, of the running jobs only.
 
-        A job still registered as running at or past its finish time (its
-        finish event is due at this very instant) holds its processors for
-        1 ns, so the profile always frees them strictly after now.
+        Each running job holds its processors until its recorded finish time.
+        A job within 1 ns of it (its finish event is due at this very
+        instant) holds them for 1 ns, so the profile always frees them
+        strictly after now.
         """
         now = self.sim.now
         return AvailabilityProfile(
             self.spec.num_processors,
             now,
             occupied=[
-                (max(finish - now, 1e-9), job.num_processors)
+                (finish if finish - now >= 1e-9 else now + 1e-9, job.num_processors)
                 for job, finish in self._running.values()
             ],
         )

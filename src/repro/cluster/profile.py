@@ -16,17 +16,20 @@ the next one (the last entry extends to infinity).  Operations:
   ``procs`` processors are simultaneously free for ``duration`` seconds;
 * :meth:`reserve` — subtract ``procs`` processors over an interval, after
   checking that they are free there;
-* :meth:`place_fcfs` — book a queue of requests in order, each starting no
-  earlier than the one before, without re-checking what the placement scan
-  has just proved.
+* :meth:`place` — book one request at its earliest feasible start at or
+  after a lower bound, without re-checking what the placement scan has just
+  proved; :meth:`place_fcfs` books a queue of requests that way, each
+  starting no earlier than the one before;
+* :meth:`trim` — forget the profile before a later instant.
 
-Queries and bookings are O(number of breakpoints).  The LRMS rebuilds a
-profile from scratch on every state change it is probed after; on the
-Table-1 economy (Exp-3, seed 42, full workload) that is 2,883 rebuilds with
-on average 33 running jobs (max 97), 13 queued jobs (max 52) and 42
-breakpoints (max 108).  At those sizes the per-rebuild cost is the number of
-Python-level operations, not the asymptotics, so the builders above do one
-pass each rather than one checked reservation per job.
+Queries and bookings are O(number of breakpoints).  Under FCFS the LRMS keeps
+one profile at absolute times across state changes: a submission places only
+the new job, and a query trims what lies before "now".  It builds a profile
+from scratch only for its first query, after a crash, under EASY
+backfilling, and while a finish event is due; on the Table-1 economy (Exp-3,
+seed 42, full workload) that is 8 builds, one per cluster (2,883 when every
+state change rebuilt), with on average 33 running jobs (max 97), 13 queued
+jobs (max 52) and 42 breakpoints (max 108) per profile.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class AvailabilityProfile:
     start_time:
         Time from which the profile is defined (usually "now").
     occupied:
-        ``(duration, procs)`` pairs of work that holds ``procs`` processors
-        from ``start_time`` for ``duration`` seconds (the running jobs).  The
-        result equals one :meth:`reserve` per pair, built in a single pass.
+        ``(end, procs)`` pairs of work that holds ``procs`` processors from
+        ``start_time`` until the absolute time ``end`` (the running jobs).
+        The result equals one :meth:`reserve` per pair, built in a single
+        pass.
     """
 
     def __init__(
@@ -149,24 +153,46 @@ class AvailabilityProfile:
         idx = self._segment_index(start)
         self._book(idx, bisect.bisect_left(self._times, end, idx), start, end, procs)
 
+    def place(self, procs: int, duration: float, earliest: float) -> float:
+        """Book ``procs`` CPUs for ``duration`` at the earliest start >= ``earliest``.
+
+        Returns the start.  The result equals :meth:`earliest_start` followed
+        by :meth:`reserve`, minus the capacity re-check the placement scan has
+        already proved.
+        """
+        self._check_request(procs, duration)
+        start, idx, stop = self._first_fit(procs, duration, max(earliest, self._times[0]))
+        end = start + duration
+        if end <= start:
+            raise ProfileError("interval must have positive length")
+        self._book(idx, stop, start, end, procs)
+        return start
+
     def place_fcfs(self, requests: Iterable[Tuple[int, float]]) -> float:
         """Book ``(procs, duration)`` requests in order; return the last start.
 
-        Each request gets the earliest feasible start at or after the start of
-        the one before it (first come, first served: no overtaking), so the
-        result equals :meth:`earliest_start` followed by :meth:`reserve` per
-        request, minus the capacity re-check the placement scan has already
-        proved.  With no requests the profile start is returned.
+        Each request is booked by :meth:`place` no earlier than the start of
+        the one before it (first come, first served: no overtaking).  With no
+        requests the profile start is returned.
         """
         start = self._times[0]
         for procs, duration in requests:
-            self._check_request(procs, duration)
-            start, idx, stop = self._first_fit(procs, duration, start)
-            end = start + duration
-            if end <= start:
-                raise ProfileError("interval must have positive length")
-            self._book(idx, stop, start, end, procs)
+            start = self.place(procs, duration, start)
         return start
+
+    def trim(self, time: float) -> None:
+        """Forget the profile before ``time``, which becomes its start.
+
+        Breakpoints at or before ``time`` go and the free count at ``time``
+        stays, so the breakpoints left are exactly those a profile built at
+        ``time`` from the same bookings would have.
+        """
+        if time < self._times[0]:
+            raise ProfileError(f"time {time} precedes profile start {self._times[0]}")
+        idx = self._segment_index(time)
+        del self._times[:idx]
+        del self._avail[:idx]
+        self._times[0] = time
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -241,7 +267,7 @@ class AvailabilityProfile:
             avail[k] -= procs
 
     def _lay_staircase(self, occupied: Iterable[Tuple[float, int]]) -> None:
-        """Hold each ``(duration, procs)`` from the profile start: one sorted sweep.
+        """Hold each ``(end, procs)`` from the profile start: one sorted sweep.
 
         Ends are grouped by exact float equality, as one :meth:`reserve` per
         pair would merge them into a single breakpoint.
@@ -249,12 +275,9 @@ class AvailabilityProfile:
         start = self._times[0]
         freed: Dict[float, int] = {}
         busy = 0
-        for duration, procs in occupied:
+        for end, procs in occupied:
             if procs < 1:
                 raise ProfileError("must reserve at least one processor")
-            if duration <= 0:
-                raise ProfileError("duration must be positive")
-            end = start + duration
             if end <= start:
                 raise ProfileError("interval must have positive length")
             freed[end] = freed.get(end, 0) + procs

@@ -36,6 +36,12 @@ class MessageType(enum.Enum):
     JOB_SUBMISSION = "job-submission"
     JOB_COMPLETION = "job-completion"
 
+    # Members are singletons compared by identity, so the identity hash is a
+    # valid hash for them.  It runs in C: ``Enum.__hash__`` hashes the member
+    # name in a Python-level call, six times per recorded message (the
+    # per-type counter updates of :meth:`MessageLog.record`).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Message:

@@ -347,7 +347,7 @@ class Transport:
     ) -> None:
         stats = self.stats
         stats.messages += 1
-        key = mtype.value
+        key = mtype._value_  # a plain attribute, where ``.value`` is a property
         stats.by_type[key] = stats.by_type.get(key, 0) + 1
         job_id = job.job_id
         stats.per_job[job_id] = stats.per_job.get(job_id, 0) + 1

@@ -23,7 +23,8 @@ the scheduling hot path are timed:
 * **LRMS availability profile** — from-scratch rebuilds of one FCFS
   cluster's admission-estimate profile (64 running jobs, queues of 8/32/128),
   reported as rebuilds/s: the layer that dominated serial runs before its
-  one-pass builders.
+  one-pass builders.  A churn row times submit/finish cycles answered from
+  the profile the LRMS keeps across state changes, reported as cycles/s.
 * **Table-3 federation run** — the full Experiment 2 simulation end to end,
   executed once per directory query mode.  The two runs must produce equal
   :func:`~repro.scenario.runner.result_fingerprint` digests (the fast path may
@@ -81,6 +82,7 @@ __all__ = [
     "bench_queue_kernel",
     "bench_event_kernel",
     "bench_lrms_profile",
+    "bench_lrms_churn",
     "bench_table3",
     "bench_transport_fastpath",
     "bench_resilience_overhead",
@@ -475,10 +477,12 @@ def bench_lrms_profile(
 ) -> List[Dict[str, object]]:
     """Rebuild one LRMS's estimation profile ``rebuilds`` times per queue depth.
 
-    This is the admission estimate every DBC negotiation round asks for, and
-    the profile is rebuilt after every queue or running-set change.  Each
-    rebuild lays the running jobs' staircase and places the whole queue; the
-    state is bumped between rebuilds so none is served from the cache.
+    This is the admission estimate every DBC negotiation round asks for, on
+    the path the LRMS takes when it has no profile to keep (first query,
+    after a crash, EASY backfilling, a finish event due).  Each rebuild lays
+    the running jobs' staircase and places the whole queue; between rebuilds
+    the state is bumped and the kept profile dropped, so none is served from
+    the cache or updated in place.
     """
     rows: List[Dict[str, object]] = []
     for queued in queue_depths:
@@ -487,6 +491,7 @@ def bench_lrms_profile(
         def once() -> float:
             start = time.perf_counter()
             for _ in range(rebuilds):
+                lrms._profile_kept = False
                 lrms._touch()
                 lrms.expected_wait()
             return time.perf_counter() - start
@@ -505,6 +510,60 @@ def bench_lrms_profile(
             }
         )
     return rows
+
+
+def bench_lrms_churn(
+    running: int = 64,
+    queued: int = 32,
+    cycles: int = 2000,
+    repeats: int = 1,
+    seed: int = 42,
+) -> List[Dict[str, object]]:
+    """Time ``cycles`` submit/finish cycles on one loaded FCFS LRMS.
+
+    Each cycle submits one 2-CPU job, asks for the queue-tail estimate, lets
+    the next job finish and asks again: two state changes, each followed by
+    the query a negotiation round makes.  Under FCFS the LRMS answers them
+    from the profile it keeps across changes.
+    """
+    rng = np.random.default_rng(seed + 1)
+    runtimes = [float(r) for r in rng.lognormal(mean=7.0, sigma=1.0, size=cycles)]
+    state: Dict[str, int] = {}
+
+    def once() -> float:
+        lrms = _loaded_lrms(running, queued, seed)
+        spec = lrms.spec
+        jobs = [
+            Job(
+                origin=spec.name,
+                user_id=0,
+                submit_time=0.0,
+                num_processors=2,
+                length_mi=runtime * spec.mips * 2,
+            )
+            for runtime in runtimes
+        ]
+        start = time.perf_counter()
+        for job in jobs:
+            lrms.submit(job)
+            lrms.expected_wait()
+            lrms.sim.step()
+            lrms.expected_wait()
+        elapsed = time.perf_counter() - start
+        state["queued_after"] = lrms.queue_length
+        return elapsed
+
+    seconds = _best_of(repeats, once)
+    return [
+        {
+            "running": int(running),
+            "queued": int(queued),
+            "cycles": int(cycles),
+            "queued_after": state["queued_after"],
+            "seconds": seconds,
+            "cycles_per_s": cycles / max(seconds, 1e-12),
+        }
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -924,6 +983,7 @@ def run_benchmarks(
         ),
         "event_kernel": [bench_event_kernel(scale.events, repeats=scale.repeats)],
         "lrms_profile": bench_lrms_profile(repeats=scale.repeats, seed=seed),
+        "lrms_churn": bench_lrms_churn(repeats=scale.repeats, seed=seed),
         "table3": bench_table3(
             scale.table3_thin,
             repeats=scale.repeats,
@@ -1006,6 +1066,9 @@ def _tracked_timings(report: Dict[str, object]) -> Dict[str, float]:
         tracked[key] = float(row["hold_s"])
     for row in report.get("lrms_profile", []):
         key = f"lrms_profile/{row['running']}x{row['queued']}/{row['rebuilds']}/seconds"
+        tracked[key] = float(row["seconds"])
+    for row in report.get("lrms_churn", []):
+        key = f"lrms_churn/{row['running']}x{row['queued']}/{row['cycles']}/seconds"
         tracked[key] = float(row["seconds"])
     for row in report.get("table3", []):
         key = f"table3/{row['clusters']}@thin{row['thin']}/session_s"
@@ -1252,6 +1315,25 @@ def render_report(report: Dict[str, object]) -> str:
                 ["Running", "Queued", "Breakpoints", "Rebuilds", "Seconds", "Rebuilds/s"],
                 rows,
                 title="LRMS availability profile — from-scratch rebuilds",
+            )
+        )
+    rows = [
+        [
+            row["running"],
+            row["queued"],
+            row["cycles"],
+            row["queued_after"],
+            row["seconds"],
+            row["cycles_per_s"],
+        ]
+        for row in report.get("lrms_churn", [])
+    ]
+    if rows:
+        out.append(
+            render_table(
+                ["Running", "Queued", "Cycles", "Queued after", "Seconds", "Cycles/s"],
+                rows,
+                title="LRMS availability profile — submit/finish cycles on the kept profile",
             )
         )
     rows = [

@@ -69,26 +69,6 @@ class HeapQueue:
             heap.extend(batch)
             heapify(heap)
 
-    def pop_window(self, horizon: float):
-        """Pop every event with ``time <= horizon``, in delivery order.
-
-        Returns the non-cancelled events (cancelled stragglers inside the
-        window are dropped, exactly as a pop loop would skip them); each has
-        its ``_queued`` flag cleared.  The first event strictly after
-        ``horizon`` stays queued.
-        """
-        heap = self._heap
-        events = []
-        append = events.append
-        while heap:
-            if heap[0][0] > horizon:
-                break
-            event = heappop(heap)[3]
-            event._queued = False
-            if not event.cancelled:
-                append(event)
-        return events
-
     def pop(self):
         """Remove and return the next event (possibly a lingering cancelled
         one — the engine skips those), or ``None`` when empty."""

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import AvailabilityProfile, ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
+from repro.cluster import ResourceSpec, SpaceSharedLRMS, SchedulingPolicy
 from repro.cluster.specs import execution_time
 from repro.sim import Simulator
 from repro.workload.job import Job, JobStatus
@@ -317,59 +319,91 @@ class TestProperties:
 
 
 # --------------------------------------------------------------------------- #
-# The profile builders against a per-job reservation oracle
+# The kept profile and the rebuild against a brute-force step-function oracle
 # --------------------------------------------------------------------------- #
-def _oracle_profile(lrms):
-    """The estimation profile built one checked reservation at a time.
+def _used(intervals, time):
+    return sum(procs for start, end, procs in intervals if start <= time < end)
 
-    Uses only the public ``reserve``/``earliest_start``: one reservation per
-    running job, then earliest start plus reservation per queued job.
+
+def _oracle_first_fit(intervals, capacity, procs, runtime, lower):
+    """Earliest start >= ``lower`` with ``procs`` CPUs free for ``runtime``.
+
+    Availability only changes at interval ends, so the candidates are the
+    lower bound and every breakpoint after it, each checked at its own start
+    and at every breakpoint inside its window.
+    """
+    points = sorted({t for start, end, _ in intervals for t in (start, end)})
+    for start in [lower] + [t for t in points if t > lower]:
+        end = start + runtime
+        checks = [start] + [t for t in points if start < t < end]
+        if all(capacity - _used(intervals, t) >= procs for t in checks):
+            return start
+    raise AssertionError("no feasible start")  # pragma: no cover
+
+
+def _oracle_running(lrms):
+    """Running work as ``(start, end, procs)`` intervals from now.
+
+    Each job holds its processors until its recorded finish time, or for
+    1 ns when its finish event is due (it is within 1 ns of it).
     """
     now = lrms.sim.now
-    profile = AvailabilityProfile(lrms.spec.num_processors, now)
-    for running_job, finish in lrms._running.values():
-        remaining = max(finish - now, 1e-9)
-        profile.reserve(now, remaining, running_job.num_processors)
+    return [
+        (now, finish if finish - now >= 1e-9 else now + 1e-9, job.num_processors)
+        for job, finish in lrms._running.values()
+    ]
+
+
+def _oracle_profile(lrms):
+    """Segments of the running + queued work and the FCFS queue-tail start."""
+    now = lrms.sim.now
+    capacity = lrms.spec.num_processors
+    intervals = _oracle_running(lrms)
     queue_tail_start = now
     for queued_job in lrms._queue:
         runtime = lrms.runtime_of(queued_job)
         # FCFS: each queued job starts no earlier than the one before it.
-        start = profile.earliest_start(
-            queued_job.num_processors, runtime, earliest=queue_tail_start
+        queue_tail_start = _oracle_first_fit(
+            intervals, capacity, queued_job.num_processors, runtime, queue_tail_start
         )
-        profile.reserve(start, runtime, queued_job.num_processors)
-        queue_tail_start = start
-    return profile, queue_tail_start
+        intervals.append((queue_tail_start, queue_tail_start + runtime, queued_job.num_processors))
+    points = sorted({now} | {t for start, end, _ in intervals for t in (start, end)})
+    segments = [
+        (t, following, capacity - _used(intervals, t))
+        for t, following in zip(points, points[1:] + [math.inf])
+    ]
+    return segments, intervals, queue_tail_start
 
 
 def _oracle_estimate(lrms, job):
-    profile, queue_tail_start = _oracle_profile(lrms)
+    _segments, intervals, queue_tail_start = _oracle_profile(lrms)
     runtime = lrms.runtime_of(job)
     earliest = max(lrms.sim.now, queue_tail_start)
-    start = profile.earliest_start(job.num_processors, runtime, earliest=earliest)
+    start = _oracle_first_fit(
+        intervals, lrms.spec.num_processors, job.num_processors, runtime, earliest
+    )
     return start + runtime
 
 
 def _oracle_shadow(lrms, head):
-    now = lrms.sim.now
-    profile = AvailabilityProfile(lrms.spec.num_processors, now)
-    for job, finish in lrms._running.values():
-        remaining = max(finish - now, 1e-9)
-        profile.reserve(now, remaining, job.num_processors)
+    intervals = _oracle_running(lrms)
+    capacity = lrms.spec.num_processors
     runtime = lrms.runtime_of(head)
-    shadow = profile.earliest_start(head.num_processors, runtime, earliest=now)
-    free_at_shadow = profile.min_free(shadow, shadow + runtime)
+    shadow = _oracle_first_fit(intervals, capacity, head.num_processors, runtime, lrms.sim.now)
+    window = [shadow] + [end for _, end, _ in intervals if shadow < end < shadow + runtime]
+    free_at_shadow = min(capacity - _used(intervals, t) for t in window)
     extra = max(free_at_shadow - head.num_processors, 0)
     return shadow, extra
 
 
 def _assert_matches_oracle(lrms, probes):
-    # The LRMS caches its profile per state version, not per instant; drop
-    # the cache so both sides build at the current time.
-    lrms._profile_cache = None
+    # The LRMS caches its answer per state version, not per instant: bump the
+    # version as a state change would, so that it answers at the current
+    # time from its kept profile (trimmed to now) or from a rebuild.
+    lrms._touch()
     profile, queue_tail_start = lrms._estimation_profile()
-    expected, expected_tail = _oracle_profile(lrms)
-    assert profile.segments() == expected.segments()
+    expected, _intervals, expected_tail = _oracle_profile(lrms)
+    assert profile.segments() == expected
     assert queue_tail_start == expected_tail
     for job in probes + lrms.queued_jobs()[:1]:
         assert lrms.estimate_completion_time(job) == _oracle_estimate(lrms, job)
@@ -380,13 +414,20 @@ def _assert_matches_oracle(lrms, probes):
 _RUNTIMES = st.one_of(
     st.sampled_from([10.0, 25.0, 40.0]), st.floats(min_value=0.5, max_value=150.0)
 )
+_WIDTHS = st.integers(min_value=1, max_value=16)
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("submit"), st.integers(min_value=1, max_value=16), _RUNTIMES),
+        st.tuples(st.just("submit"), _WIDTHS, _RUNTIMES),
+        # Equal jobs submitted together: those that start together finish at
+        # the same instant.
+        st.tuples(st.just("burst"), _WIDTHS, _RUNTIMES, st.integers(min_value=2, max_value=4)),
         st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=60.0)),
         # Stop just before (or exactly at) the next finish, leaving running
         # jobs with at most 1 ns to go.
-        st.tuples(st.just("to_finish"), st.sampled_from([0.0, 1e-10, 5e-10, 1e-9])),
+        st.tuples(st.just("to_finish"), st.sampled_from([0.0, 1e-10, 5e-10, 1e-9, 2e-9])),
+        # Submit from the next completion, while jobs finishing at that same
+        # instant are still registered as running.
+        st.tuples(st.just("submit_at_finish"), _WIDTHS, _RUNTIMES),
         st.tuples(st.just("fail_all")),
     ),
     min_size=1,
@@ -399,29 +440,78 @@ class TestProfileMatchesOracle:
         ops=_OPS,
         policy=st.sampled_from(list(SchedulingPolicy)),
         origin=st.sampled_from([0.0, 1e5, 1e6]),
+        probe_at_finish=st.booleans(),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_builders_equal_per_job_reservations(self, ops, policy, origin):
+    @settings(max_examples=150, deadline=None)
+    def test_profile_equals_the_step_function_oracle(self, ops, policy, origin, probe_at_finish):
         sim = Simulator()
         sim.run(until=origin)
         spec = make_spec(procs=16)
         lrms = SpaceSharedLRMS(sim, spec, policy=policy)
         probes = [make_job(procs=p, runtime=30.0, spec=spec) for p in (1, 7, 16)]
-        # At a completion, jobs finishing at the same instant are still
-        # registered as running with nothing left to run.
-        lrms.on_job_complete = lambda _job: _assert_matches_oracle(lrms, probes)
+        armed = []
+
+        def on_complete(_job):
+            # At a completion, jobs finishing at the same instant are still
+            # registered as running with nothing left to run.
+            if armed:
+                lrms.submit(armed.pop())
+            if probe_at_finish:
+                _assert_matches_oracle(lrms, probes)
+
+        lrms.on_job_complete = on_complete
         _assert_matches_oracle(lrms, probes)
         for op in ops:
             if op[0] == "submit":
                 lrms.submit(make_job(procs=op[1], runtime=op[2], spec=spec))
+            elif op[0] == "burst":
+                for _ in range(op[3]):
+                    lrms.submit(make_job(procs=op[1], runtime=op[2], spec=spec))
             elif op[0] == "advance":
                 sim.run(until=sim.now + op[1])
             elif op[0] == "to_finish":
                 if lrms._running:
                     next_finish = min(finish for _job, finish in lrms._running.values())
                     sim.run(until=max(next_finish - op[1], sim.now))
+            elif op[0] == "submit_at_finish":
+                armed[:] = [make_job(procs=op[1], runtime=op[2], spec=spec)]
+                if lrms._running:
+                    sim.run(until=min(finish for _job, finish in lrms._running.values()))
+                armed.clear()
             else:
                 lrms.fail_all()
             _assert_matches_oracle(lrms, probes)
         sim.run()
         _assert_matches_oracle(lrms, probes)
+
+    def test_kept_profile_is_updated_in_place(self):
+        """Under FCFS a submission books the kept profile; no state change
+        after the first query builds a new one."""
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        lrms = SpaceSharedLRMS(sim, spec)
+        lrms.submit(make_job(procs=16, runtime=10.0, spec=spec))
+        kept, _tail = lrms._estimation_profile()
+        for runtime in (5.0, 7.0, 3.0):
+            lrms.submit(make_job(procs=8, runtime=runtime, spec=spec))
+            assert lrms._estimation_profile()[0] is kept
+        sim.run(until=12.0)
+        profile, tail = lrms._estimation_profile()
+        assert profile is kept
+        assert profile.start_time == 12.0
+        expected, _intervals, expected_tail = _oracle_profile(lrms)
+        assert profile.segments() == expected
+        assert tail == expected_tail == 15.0
+
+    def test_rebuild_after_crash_and_under_easy(self):
+        sim = Simulator()
+        spec = make_spec(procs=16)
+        for policy in SchedulingPolicy:
+            lrms = SpaceSharedLRMS(sim, spec, policy=policy)
+            lrms.submit(make_job(procs=16, runtime=10.0, spec=spec))
+            first, _tail = lrms._estimation_profile()
+            lrms.submit(make_job(procs=4, runtime=10.0, spec=spec))
+            again, _tail = lrms._estimation_profile()
+            assert (again is first) is (policy is SchedulingPolicy.FCFS)
+            lrms.fail_all()
+            assert lrms._estimation_profile()[0] is not again

@@ -117,7 +117,7 @@ class TestEarliestStart:
 
 class TestBuilders:
     def test_occupied_work_lays_a_staircase(self):
-        profile = AvailabilityProfile(8, 10.0, occupied=[(5.0, 3), (2.0, 1), (5.0, 2)])
+        profile = AvailabilityProfile(8, 10.0, occupied=[(15.0, 3), (12.0, 1), (15.0, 2)])
         assert profile.segments() == [(10.0, 12.0, 2), (12.0, 15.0, 3), (15.0, math.inf, 8)]
 
     def test_occupied_work_rejects_what_reserve_rejects(self):
@@ -127,9 +127,9 @@ class TestBuilders:
             AvailabilityProfile(4, 0.0, occupied=[(0.0, 1)])
         with pytest.raises(ProfileError, match="at least one"):
             AvailabilityProfile(4, 0.0, occupied=[(1.0, 0)])
-        # 1 ns past 1e8 rounds back to 1e8: an empty interval.
+        # Work ending before the profile starts holds nothing.
         with pytest.raises(ProfileError, match="positive length"):
-            AvailabilityProfile(4, 1e8, occupied=[(1e-9, 1)])
+            AvailabilityProfile(4, 1e8, occupied=[(1e8 - 1.0, 1)])
 
     def test_place_fcfs_never_overtakes(self):
         profile = AvailabilityProfile(8, 0.0, occupied=[(10.0, 6)])
@@ -141,7 +141,28 @@ class TestBuilders:
         ]
 
     def test_place_fcfs_of_nothing_returns_the_profile_start(self):
-        assert AvailabilityProfile(8, 3.0, occupied=[(1.0, 8)]).place_fcfs([]) == 3.0
+        assert AvailabilityProfile(8, 3.0, occupied=[(4.0, 8)]).place_fcfs([]) == 3.0
+
+    def test_place_equals_earliest_start_then_reserve(self):
+        placed = AvailabilityProfile(8, 0.0, occupied=[(10.0, 6), (4.0, 1)])
+        checked = AvailabilityProfile(8, 0.0, occupied=[(10.0, 6), (4.0, 1)])
+        for procs, duration, earliest in [(3, 5.0, 0.0), (2, 2.0, 1.0), (8, 1.0, 0.0)]:
+            start = checked.earliest_start(procs, duration, earliest=earliest)
+            checked.reserve(start, duration, procs)
+            assert placed.place(procs, duration, earliest) == start
+            assert placed.segments() == checked.segments()
+
+    def test_trim_keeps_the_free_count_and_later_breakpoints(self):
+        profile = AvailabilityProfile(8, 0.0, occupied=[(10.0, 6), (4.0, 1)])
+        profile.place(4, 5.0, 0.0)
+        profile.trim(4.0)
+        assert profile.segments() == [(4.0, 10.0, 2), (10.0, 15.0, 4), (15.0, math.inf, 8)]
+        profile.trim(12.5)
+        assert profile.segments() == [(12.5, 15.0, 4), (15.0, math.inf, 8)]
+        profile.trim(12.5)
+        assert profile.start_time == 12.5
+        with pytest.raises(ProfileError, match="precedes"):
+            profile.trim(12.0)
 
     def test_place_fcfs_rejects_bad_requests(self):
         profile = AvailabilityProfile(4, 0.0)

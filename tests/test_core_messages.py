@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,25 @@ class TestRecording:
         log.record(MessageType.JOB_COMPLETION, "B", "A", job)
         for mtype in MessageType:
             assert log.count_by_type(mtype) == 1
+
+    def test_per_type_views_survive_a_pickled_copy(self):
+        """Message types hash by identity; a pickled log (a checkpoint, a
+        parallel shard's harvest) still finds and keeps counting its keys."""
+        log = MessageLog()
+        job = make_job(origin="A")
+        log.record(MessageType.NEGOTIATE, "A", "B", job)
+        copy = pickle.loads(pickle.dumps(log))
+        copy.record(MessageType.NEGOTIATE, "A", "B", job)
+        copy.record(MessageType.REPLY, "B", "A", job)
+        assert copy.count_by_type(MessageType.NEGOTIATE) == 2
+        assert copy.counters("A").by_type == {
+            MessageType.NEGOTIATE: 2,
+            MessageType.REPLY: 1,
+            MessageType.JOB_SUBMISSION: 0,
+            MessageType.JOB_COMPLETION: 0,
+        }
+        assert list(copy.counters("B").by_type) == list(MessageType)
+        assert {MessageType.REPLY: 1}[pickle.loads(pickle.dumps(MessageType.REPLY))] == 1
 
     def test_same_endpoint_rejected(self):
         log = MessageLog()

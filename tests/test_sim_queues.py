@@ -130,7 +130,6 @@ class TestHeapQueueEdges:
         queue = HeapQueue()
         assert queue.pop() is None
         assert queue.peek() is None
-        assert queue.pop_window(1e9) == []
         assert queue.compact() == 0
 
     def test_peek_on_all_cancelled_queue_empties_it(self):
@@ -226,25 +225,6 @@ class TestHeapQueueEdges:
         keys = _drain(queue)
         assert keys == sorted(keys)
         assert (0.5, 0, 30) in keys and (14.0, -1, 31) in keys
-
-    def test_pop_window_horizon_is_inclusive(self):
-        queue = HeapQueue()
-        at = make_event(5.0, 0)
-        after = make_event(5.0 + 1e-9, 1)
-        queue.push_many([after, at])
-        assert queue.pop_window(5.0) == [at]
-        assert queue.peek() is after
-
-    def test_pop_window_of_only_cancelled_events_is_empty(self):
-        queue = HeapQueue()
-        dead = [make_event(float(i), i) for i in range(4)]
-        live = make_event(10.0, 4)
-        queue.push_many(dead + [live])
-        for event in dead:
-            event.cancelled = True
-        assert queue.pop_window(9.0) == []
-        assert len(queue) == 1
-        assert not any(event._queued for event in dead)
 
 
 #: Random queue-level operations for the HeapQueue model test.
@@ -601,22 +581,10 @@ _batch_entries = st.lists(
 
 
 class TestBatchKernelParity:
-    """Hypothesis oracle for the batch entry points: ``push_many`` and
-    ``pop_window`` must be observationally identical to the looped
-    ``push`` / peek-and-``pop`` forms — including under cancellation and
-    with a prefilled standing population (which steers the heap between its
-    sift and heapify paths)."""
-
-    @staticmethod
-    def _looped_pop_window(queue, horizon):
-        events = []
-        while True:
-            head = queue.peek()
-            if head is None or head.time > horizon:
-                return events
-            event = queue.pop()
-            if event is not None and not event.cancelled:
-                events.append(event)
+    """Hypothesis oracle for the batch entry point: ``push_many`` must be
+    observationally identical to looped ``push`` — including under
+    cancellation and with a prefilled standing population (which steers the
+    heap between its sift and heapify paths)."""
 
     @staticmethod
     def _drain_keys(queue):
@@ -628,13 +596,9 @@ class TestBatchKernelParity:
             if not event.cancelled:
                 keys.append((event.time, event.priority, event.seq))
 
-    @given(
-        prefill=_batch_entries,
-        batch=_batch_entries,
-        horizon=st.floats(min_value=0.0, max_value=1_000.0),
-    )
+    @given(prefill=_batch_entries, batch=_batch_entries)
     @settings(max_examples=60, deadline=None)
-    def test_batch_forms_match_looped_forms(self, prefill, batch, horizon):
+    def test_batch_forms_match_looped_forms(self, prefill, batch):
         looped = HeapQueue()
         batched = HeapQueue()
         seq = 0
@@ -647,28 +611,11 @@ class TestBatchKernelParity:
         for event in loop_events:
             looped.push(event)
         batched.push_many(batch_events)
-        # Cancel an arbitrary-but-identical subset in both queues: the window
-        # drain must skip corpses exactly like the pop loop.
+        # Cancel an arbitrary-but-identical subset in both queues: the drain
+        # must skip corpses alike.
         for a, b in zip(loop_events[::3], batch_events[::3]):
             a.cancelled = b.cancelled = True
-        key = lambda e: (e.time, e.priority, e.seq)
-        window_ref = [key(e) for e in self._looped_pop_window(looped, horizon)]
-        window_batch = [key(e) for e in batched.pop_window(horizon)]
-        assert window_batch == window_ref, "pop_window diverged"
-        assert self._drain_keys(batched) == self._drain_keys(looped), (
-            "post-window remainder diverged"
-        )
-
-    def test_pop_window_clears_queued_flag_and_leaves_later_events(self):
-        queue = HeapQueue()
-        early = make_event(1.0, 0)
-        late = make_event(10.0, 1)
-        queue.push_many([early, late])
-        drained = queue.pop_window(5.0)
-        assert drained == [early]
-        assert not early._queued
-        assert late._queued
-        assert len(queue) == 1
+        assert self._drain_keys(batched) == self._drain_keys(looped), "drain diverged"
 
     def test_push_many_empty_batch_is_a_noop(self):
         queue = HeapQueue()
